@@ -159,6 +159,19 @@ class Reader
         return s;
     }
 
+    /**
+     * An element count of at most @p max. Every element takes at least
+     * one byte, so a count beyond the bytes left is a lie too; either
+     * way the failure is latched and the count reads as zero.
+     */
+    std::uint64_t boundedCount(std::uint64_t max = UINT64_MAX)
+    {
+        const std::uint64_t n = u64();
+        if (n > max || n > remaining())
+            _failed = true;
+        return _failed ? 0 : n;
+    }
+
     bool failed() const { return _failed; }
     std::size_t remaining() const { return _size - _pos; }
 

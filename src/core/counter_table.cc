@@ -253,11 +253,7 @@ CounterTable::restoreState(ckpt::Reader &r)
         e.count = ActCount(r.u64());
     }
     _index.clear();
-    const std::uint64_t index_size = r.u64();
-    if (index_size > _entries.size()) {
-        r.fail();
-        return;
-    }
+    const std::uint64_t index_size = r.boundedCount(_entries.size());
     for (std::uint64_t i = 0; i < index_size && !r.failed(); ++i) {
         const Row row{r.u32()};
         const unsigned slot = r.u32();

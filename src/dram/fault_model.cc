@@ -161,11 +161,7 @@ FaultModel::restoreState(ckpt::Reader &r)
         _cells[row.value()] = CellState{disturbance, flipped};
     }
     _flips.clear();
-    const std::uint64_t flip_count = r.u64();
-    if (flip_count > _numRows) {
-        r.fail();
-        return;
-    }
+    const std::uint64_t flip_count = r.boundedCount(_numRows);
     for (std::uint64_t i = 0; i < flip_count && !r.failed(); ++i) {
         BitFlip f{Row{r.u32()}, Cycle{r.u64()}, r.f64()};
         _flips.push_back(f);

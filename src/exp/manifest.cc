@@ -51,9 +51,7 @@ Manifest::load()
         }
         ckpt::Reader r(blob.value().payload);
         std::map<std::uint64_t, std::string> records;
-        const std::uint64_t count = r.u64();
-        if (count > r.remaining())
-            r.fail();
+        const std::uint64_t count = r.boundedCount();
         for (std::uint64_t i = 0; i < count && !r.failed(); ++i) {
             const std::uint64_t fp = r.u64();
             records[fp] = r.str();

@@ -7,11 +7,10 @@
  * precise bank timing (ACT/PRE/RD/WR gated by tRC, tRCD, tRP, tRAS),
  * a shared data bus, periodic auto-refresh (REF every tREFI, tRFC
  * busy), and an open-page policy with a row-hit cap approximating the
- * paper's minimalist-open configuration. Every ACT is reported to the
- * bank's protection scheme; requested victim refreshes are applied
- * immediately as NRR commands or explicit victim-row refreshes that
- * keep the bank busy for tRC per refreshed row — exactly the overhead
- * accounting of Section V-B.
+ * paper's minimalist-open configuration. Every ACT and REF passes
+ * through the channel's ProtectedRank, which applies the schemes'
+ * victim refreshes with the overhead accounting of Section V-B; the
+ * controller itself only decides when commands issue.
  *
  * Scheduling simplification vs. the paper's PAR-BS: requests are
  * serviced per bank in arrival order with row-hit batching. Because
@@ -25,7 +24,6 @@
 #define MEM_CONTROLLER_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/stats.hh"
@@ -33,6 +31,7 @@
 #include "core/protection_scheme.hh"
 #include "dram/address.hh"
 #include "dram/rank.hh"
+#include "mem/protected_rank.hh"
 #include "mem/request.hh"
 #include "obs/obs.hh"
 #include "schemes/factory.hh"
@@ -107,25 +106,25 @@ class ChannelController
                          bool is_write);
 
     /** Apply all refreshes due up to @p cycle (also done lazily). */
-    void catchUpRefresh(Cycle cycle);
+    void catchUpRefresh(Cycle cycle) { _kernel.catchUpRefresh(cycle); }
 
-    dram::Rank &rank() { return _rank; }
-    const dram::Rank &rank() const { return _rank; }
+    dram::Rank &rank() { return _kernel.rank(); }
+    const dram::Rank &rank() const { return _kernel.rank(); }
 
     /** Protection scheme guarding @p bank (nullptr when none). */
-    ProtectionScheme *scheme(unsigned bank);
+    ProtectionScheme *scheme(unsigned bank) { return _kernel.scheme(bank); }
 
     /** Observability probe of @p bank (detached when unconfigured). */
-    obs::Probe probe(unsigned bank) const { return _probes[bank]; }
+    obs::Probe probe(unsigned bank) const { return _kernel.probe(bank); }
 
     /** Victim rows refreshed across the channel so far. */
     std::uint64_t victimRowsRefreshed() const
     {
-        return _rank.nrrRowCount();
+        return rank().nrrRowCount();
     }
 
     /** Total ACT commands issued. */
-    ActCount actCount() const { return ActCount{_acts}; }
+    ActCount actCount() const { return ActCount{_kernel.acts()}; }
 
     /** Total requests serviced. */
     std::uint64_t requestCount() const { return _requests; }
@@ -136,22 +135,12 @@ class ChannelController
     const ControllerConfig &config() const { return _config; }
 
   private:
-    void applyAction(Cycle cycle, unsigned bank,
-                     const RefreshAction &action);
-
     ControllerConfig _config;
-    dram::Rank _rank;
-    std::vector<std::unique_ptr<ProtectionScheme>> _schemes;
-    /// One probe per bank (all empty under GRAPHENE_OBS_OFF).
-    std::vector<obs::Probe> _probes;
+    ProtectedRank _kernel;
     std::vector<unsigned> _consecutiveHits;
-    /// Outstanding victim-refresh busy cycles owed per bank.
-    std::vector<Cycle> _refreshDebt;
     Cycle _busFreeAt{};
-    std::uint64_t _acts = 0;
     std::uint64_t _requests = 0;
     std::uint64_t _rowHits = 0;
-    RefreshAction _scratchAction;
 };
 
 } // namespace mem

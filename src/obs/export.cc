@@ -66,6 +66,16 @@ appendSessionObject(std::ostream &os, const SessionStatus &s)
        << ",\"alerts_fired\":" << s.alertsFired << "}";
 }
 
+/** Exposition family and TYPE of metric @p name: counters end in
+ *  `_total`; Max and Ratio values (obs::MetricKind) are gauges. */
+std::pair<std::string, const char *>
+promFamily(const char *prefix, const std::string &name)
+{
+    if (metricKind(name) == MetricKind::Counter)
+        return {prefix + promName(name) + "_total", "counter"};
+    return {prefix + promName(name), "gauge"};
+}
+
 } // namespace
 
 std::string
@@ -132,34 +142,36 @@ void
 writeExposition(std::ostream &os, const Rollup &rollup,
                 const ServiceStatus &status)
 {
-    // Per-tenant counters from each session's totals. Families are
+    // Per-tenant series from each session's totals. Families are
     // grouped so every series of a metric shares one HELP/TYPE pair,
     // as the text format requires.
-    std::map<std::string, std::vector<std::pair<std::string, double>>>
+    std::map<std::string,
+             std::pair<const char *,
+                       std::vector<std::pair<std::string, double>>>>
         families;
     for (const auto &kv : rollup.tenants())
-        for (const auto &m : kv.second.totals)
-            families["graphene_serve_" + promName(m.first) + "_total"]
-                .emplace_back(kv.first, m.second);
-    for (const auto &family : families) {
-        os << "# HELP " << family.first
-           << " End-of-run total of the session metric.\n";
-        os << "# TYPE " << family.first << " counter\n";
+        for (const auto &m : kv.second.totals) {
+            const auto [name, type] = promFamily("graphene_serve_", m.first);
+            families[name].first = type;
+            families[name].second.emplace_back(kv.first, m.second);
+        }
+    for (const auto &[name, family] : families) {
+        os << "# HELP " << name
+           << " End-of-run value of the session metric.\n";
+        os << "# TYPE " << name << " " << family.first << "\n";
         for (const auto &sample : family.second)
-            os << family.first << "{tenant=\""
-               << json::escape(sample.first)
+            os << name << "{tenant=\"" << json::escape(sample.first)
                << "\"} " << json::number(sample.second) << "\n";
     }
 
-    // Fleet-wide sums, label-free.
-    const auto fleet = rollup.fleetTotals();
-    for (const auto &m : fleet) {
-        const std::string name =
-            "graphene_fleet_" + promName(m.first) + "_total";
+    // Fleet-wide values, label-free, combined by metric kind.
+    for (const auto &[metric, value] : rollup.fleetTotals()) {
+        const auto [name, type] = promFamily("graphene_fleet_", metric);
         os << "# HELP " << name
-           << " Sum of the metric over every tenant.\n";
-        os << "# TYPE " << name << " counter\n";
-        os << name << " " << json::number(m.second) << "\n";
+           << " Fleet value: tenants summed, or the largest tenant "
+              "value for a peak, or the ratio recomputed.\n";
+        os << "# TYPE " << name << " " << type << "\n";
+        os << name << " " << json::number(value) << "\n";
     }
 
     // Session-state gauges from the health snapshot.

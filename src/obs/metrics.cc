@@ -95,55 +95,103 @@ MetricsRegistry::windowSum(const std::string &name) const
     return sum;
 }
 
-// analyze: perf-exempt(checkpoint boundary, not per-activation)
-MetricsRegistry::Snapshot
-MetricsRegistry::snapshot() const
+namespace {
+
+/** A name-keyed map: its size, then each name and @p put(value). */
+template <class Map, class Put>
+void
+saveMap(ckpt::Writer &w, const Map &map, Put put)
 {
-    Snapshot snap;
-    for (const auto &kv : _group.scalars())
-        snap.scalars.emplace_back(kv.first, kv.second.value());
-    for (const auto &kv : _group.histograms()) {
-        Snapshot::HistogramState h;
-        h.name = kv.first;
-        h.buckets = kv.second.buckets();
-        h.bucketWidth = kv.second.bucketWidth();
-        h.count = kv.second.count();
-        h.overflow = kv.second.overflow();
-        h.sum = kv.second.sum();
-        h.maxSeen = kv.second.max();
-        snap.histograms.push_back(std::move(h));
+    w.u64(map.size());
+    for (const auto &[name, value] : map) {
+        w.str(name);
+        put(value);
     }
-    snap.lastScalar = _lastScalar;
-    snap.lastHistSamples = _lastHistSamples;
-    snap.rows = _rows;
-    snap.windowCycles = _windowCycles.value();
-    snap.currentWindow = _currentWindow;
-    snap.open = _open;
-    return snap;
+}
+
+/** Inverse of saveMap(): @p take reads the value behind each name. */
+template <class Take>
+void
+restoreMap(ckpt::Reader &r, Take take)
+{
+    for (std::uint64_t i = 0, n = r.boundedCount(); i < n; ++i)
+        take(r.str());
+}
+
+} // namespace
+
+// analyze: perf-exempt(checkpoint boundary, not per-activation)
+void
+MetricsRegistry::saveState(ckpt::Writer &w) const
+{
+    saveMap(w, _group.scalars(), [&](const Scalar &s) { w.f64(s.value()); });
+    saveMap(w, _group.histograms(), [&](const Histogram &h) {
+        w.u64(h.buckets().size());
+        for (const std::uint64_t b : h.buckets())
+            w.u64(b);
+        w.f64(h.bucketWidth());
+        w.u64(h.count());
+        w.u64(h.overflow());
+        w.f64(h.sum());
+        w.f64(h.max());
+    });
+    saveMap(w, _lastScalar, [&](double v) { w.f64(v); });
+    saveMap(w, _lastHistSamples, [&](std::uint64_t n) { w.u64(n); });
+    w.u64(_rows.size());
+    for (const WindowRow &row : _rows) {
+        w.u64(row.window);
+        saveMap(w, row.deltas, [&](double v) { w.f64(v); });
+    }
+    w.u64(_windowCycles.value());
+    w.u64(_currentWindow);
+    w.boolean(_open);
 }
 
 // analyze: perf-exempt(checkpoint boundary, not per-activation)
 void
-MetricsRegistry::restore(const Snapshot &snap)
+MetricsRegistry::restoreState(ckpt::Reader &r)
 {
     _group = StatGroup{};
-    for (const auto &kv : snap.scalars)
-        _group.scalar(kv.first).restoreValue(kv.second);
-    for (const auto &h : snap.histograms) {
+    restoreMap(r, [&](const std::string &name) {
+        _group.scalar(name).restoreValue(r.f64());
+    });
+    restoreMap(r, [&](const std::string &name) {
+        std::vector<std::uint64_t> buckets(r.boundedCount());
+        for (std::uint64_t &b : buckets)
+            b = r.u64();
+        const double width = r.f64();
+        const std::uint64_t count = r.u64();
+        const std::uint64_t overflow = r.u64();
+        const double sum = r.f64();
+        const double max_seen = r.f64();
+        if (r.failed())
+            return;
         // histogram() fixes the shape on first call; max is
         // width x buckets by construction.
-        Histogram &hist = _group.histogram(
-            h.name, h.buckets.size(),
-            h.bucketWidth * static_cast<double>(h.buckets.size()));
-        hist.restoreCounts(h.buckets, h.count, h.overflow, h.sum,
-                           h.maxSeen);
+        const std::size_t size = buckets.size();
+        _group.histogram(name, size, width * static_cast<double>(size))
+            .restoreCounts(std::move(buckets), count, overflow, sum,
+                           max_seen);
+    });
+    _lastScalar.clear();
+    restoreMap(r, [&](const std::string &name) {
+        _lastScalar[name] = r.f64();
+    });
+    _lastHistSamples.clear();
+    restoreMap(r, [&](const std::string &name) {
+        _lastHistSamples[name] = r.u64();
+    });
+    _rows.clear();
+    for (std::uint64_t i = 0, n = r.boundedCount(); i < n; ++i) {
+        WindowRow &row = _rows.emplace_back();
+        row.window = r.u64();
+        restoreMap(r, [&](const std::string &name) {
+            row.deltas[name] = r.f64();
+        });
     }
-    _lastScalar = snap.lastScalar;
-    _lastHistSamples = snap.lastHistSamples;
-    _rows = snap.rows;
-    _windowCycles = Cycle(snap.windowCycles);
-    _currentWindow = snap.currentWindow;
-    _open = snap.open;
+    _windowCycles = Cycle(r.u64());
+    _currentWindow = r.u64();
+    _open = r.boolean();
 }
 
 void

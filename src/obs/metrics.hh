@@ -32,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "ckpt/io.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -87,40 +88,12 @@ class MetricsRegistry
      */
     void writeJsonl(std::ostream &os) const;
 
-    /**
-     * Complete registry state in plain types, for checkpointing. obs
-     * sits below src/ckpt in the layer DAG (it depends only on
-     * common), so the checkpoint layer cannot be named here: the
-     * registry exports/imports a Snapshot and sim does the framing.
-     */
-    struct Snapshot
-    {
-        struct HistogramState
-        {
-            std::string name;
-            std::vector<std::uint64_t> buckets;
-            double bucketWidth = 0.0;
-            std::uint64_t count = 0;
-            std::uint64_t overflow = 0;
-            double sum = 0.0;
-            double maxSeen = 0.0;
-        };
+    /** Serialize the whole registry (DESIGN.md §14); maps iterate
+     *  sorted, so equal registries give equal bytes. */
+    void saveState(ckpt::Writer &w) const;
 
-        std::vector<std::pair<std::string, double>> scalars;
-        std::vector<HistogramState> histograms;
-        std::map<std::string, double> lastScalar;
-        std::map<std::string, std::uint64_t> lastHistSamples;
-        std::vector<WindowRow> rows;
-        std::uint64_t windowCycles = 0;
-        std::uint64_t currentWindow = 0;
-        bool open = false;
-    };
-
-    /** Export the full registry state (maps iterate sorted). */
-    Snapshot snapshot() const;
-
-    /** Overwrite the registry with @p snap (restore path). */
-    void restore(const Snapshot &snap);
+    /** Inverse of saveState(); flags malformed payloads on @p r. */
+    void restoreState(ckpt::Reader &r);
 
   private:
     void advanceTo(Cycle cycle);
@@ -171,36 +144,23 @@ class MetricsRegistry
     double windowSum(const std::string &) const { return 0.0; }
     void writeJsonl(std::ostream &) const {}
 
-    /**
-     * Same Snapshot shape as the instrumented build so checkpoint
-     * serializers compile identically; snapshot() is always empty and
-     * restore() discards, keeping the registry an empty type.
-     */
-    struct Snapshot
+    /** An empty registry in the instrumented layout; a non-empty one
+     *  (written by an instrumented build) is refused on restore. */
+    void saveState(ckpt::Writer &w) const
     {
-        struct HistogramState
-        {
-            std::string name;
-            std::vector<std::uint64_t> buckets;
-            double bucketWidth = 0.0;
-            std::uint64_t count = 0;
-            std::uint64_t overflow = 0;
-            double sum = 0.0;
-            double maxSeen = 0.0;
-        };
-
-        std::vector<std::pair<std::string, double>> scalars;
-        std::vector<HistogramState> histograms;
-        std::map<std::string, double> lastScalar;
-        std::map<std::string, std::uint64_t> lastHistSamples;
-        std::vector<WindowRow> rows;
-        std::uint64_t windowCycles = 0;
-        std::uint64_t currentWindow = 0;
-        bool open = false;
-    };
-
-    Snapshot snapshot() const { return Snapshot{}; }
-    void restore(const Snapshot &) {}
+        for (int i = 0; i < 7; ++i)
+            w.u64(0);
+        w.boolean(false);
+    }
+    void restoreState(ckpt::Reader &r)
+    {
+        for (int i = 0; i < 5; ++i) // the element counts
+            if (r.u64() != 0)
+                r.fail();
+        r.u64(); // window length
+        r.u64(); // current window
+        r.boolean();
+    }
 };
 
 static_assert(std::is_empty_v<MetricsRegistry>,

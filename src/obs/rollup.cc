@@ -2,6 +2,7 @@
 
 #ifndef GRAPHENE_OBS_OFF
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -162,12 +163,15 @@ readServeJsonl(const std::string &path, const std::string &tenant)
         }
         if (lead == "summary") {
             for (const auto &field : *parsed) {
-                if (field.key == "summary" || field.key == "windows")
+                if (field.key == "summary")
                     continue;
                 double v = 0.0;
                 if (!parseNumber(field.raw, v))
                     continue; // non-numeric summary fields are fine
-                series.totals[field.key] = v;
+                if (field.key == "windows")
+                    series.spanWindows = v;
+                else
+                    series.totals[field.key] = v;
             }
             series.haveTotals = true;
             continue;
@@ -236,6 +240,16 @@ checkConservation(const SessionSeries &series, double tol)
     return issues.finish();
 }
 
+MetricKind
+metricKind(const std::string &name)
+{
+    if (name == "peak_disturbance")
+        return MetricKind::Max;
+    if (name == "energy_overhead")
+        return MetricKind::Ratio;
+    return MetricKind::Counter;
+}
+
 // analyze: perf-exempt(rollup merge runs once per session at drain, never per-ACT)
 void
 Rollup::add(const SessionSeries &series)
@@ -276,9 +290,22 @@ std::map<std::string, double>
 Rollup::fleetTotals() const
 {
     std::map<std::string, double> out;
+    std::map<std::string, double> ratio_weights;
     for (const auto &kv : _tenants)
-        for (const auto &m : kv.second.totals)
-            out[m.first] += m.second;
+        for (const auto &[name, value] : kv.second.totals) {
+            const MetricKind kind = metricKind(name);
+            const auto [it, first] = out.emplace(name, 0.0);
+            if (kind == MetricKind::Counter) {
+                it->second += value;
+            } else if (kind == MetricKind::Max) {
+                it->second = first ? value : std::max(it->second, value);
+            } else {
+                it->second += value * kv.second.spanWindows;
+                ratio_weights[name] += kv.second.spanWindows;
+            }
+        }
+    for (const auto &[name, weight] : ratio_weights)
+        out[name] = weight > 0.0 ? out[name] / weight : 0.0;
     return out;
 }
 

@@ -65,12 +65,27 @@ struct SessionSeries
     std::vector<WindowDelta> windows;
     std::map<std::string, double> totals;
     bool haveTotals = false;
+    /** Simulated span in tREFW units (a serve summary's `windows`);
+     *  weights this tenant's Ratio metrics in the fleet value. */
+    double spanWindows = 0.0;
     /** The artifact ended in an `"error"` line (failed session). */
     bool failed = false;
     std::string error;
 };
 
 #ifndef GRAPHENE_OBS_OFF
+
+/**
+ * How tenants' end-of-run values of one metric combine into the fleet
+ * value: a Counter adds up, a Max (peak_disturbance) takes the largest,
+ * and a Ratio (energy_overhead, per simulated window) weights each
+ * tenant by its spanWindows — i.e. EnergyModel::refreshOverhead(sum of
+ * victim rows, 1, sum of spans).
+ */
+enum class MetricKind { Counter, Max, Ratio };
+
+/** The kind of the serve session metric @p name. */
+MetricKind metricKind(const std::string &name);
 
 /**
  * Parse a graphene-obs-metrics-v1 stream (MetricsRegistry JSONL).
@@ -125,7 +140,7 @@ class Rollup
      */
     std::vector<WindowDelta> fleet() const;
 
-    /** Sum of every tenant's totals per metric. */
+    /** Every tenant's totals combined per metric by its kind. */
     std::map<std::string, double> fleetTotals() const;
 
     /**

@@ -304,11 +304,7 @@ Cbt::restoreState(ckpt::Reader &r)
 {
     ProtectionScheme::restoreState(r);
     _ranges.clear();
-    const std::uint64_t range_count = r.u64();
-    if (range_count > _config.numCounters) {
-        r.fail();
-        return;
-    }
+    const std::uint64_t range_count = r.boundedCount(_config.numCounters);
     for (std::uint64_t i = 0; i < range_count && !r.failed(); ++i) {
         const Row key{r.u32()};
         Node node;

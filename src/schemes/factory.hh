@@ -50,6 +50,16 @@ struct SchemeSpec
     std::uint64_t seed = 1;
 };
 
+/** @p spec sized for one bank of @p rows_per_bank rows under @p timing. */
+inline SchemeSpec
+bankSpec(SchemeSpec spec, std::uint64_t rows_per_bank,
+         const dram::TimingParams &timing)
+{
+    spec.rowsPerBank = rows_per_bank;
+    spec.timing = timing;
+    return spec;
+}
+
 /** Human-readable name for @p kind. */
 std::string schemeKindName(SchemeKind kind);
 

@@ -122,11 +122,7 @@ MrLoc::restoreState(ckpt::Reader &r)
         word = r.u64();
     _rng.setStateWords(rng);
     _queue.clear();
-    const std::uint64_t queue_size = r.u64();
-    if (queue_size > _config.queueEntries) {
-        r.fail();
-        return;
-    }
+    const std::uint64_t queue_size = r.boundedCount(_config.queueEntries);
     for (std::uint64_t i = 0; i < queue_size && !r.failed(); ++i)
         _queue.push_back(Row{r.u32()});
 }

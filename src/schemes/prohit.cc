@@ -150,19 +150,11 @@ ProHit::restoreState(ckpt::Reader &r)
         word = r.u64();
     _rng.setStateWords(rng);
     _hot.clear();
-    const std::uint64_t hot_size = r.u64();
-    if (hot_size > _config.hotEntries) {
-        r.fail();
-        return;
-    }
+    const std::uint64_t hot_size = r.boundedCount(_config.hotEntries);
     for (std::uint64_t i = 0; i < hot_size && !r.failed(); ++i)
         _hot.push_back(Row{r.u32()});
     _cold.clear();
-    const std::uint64_t cold_size = r.u64();
-    if (cold_size > _config.coldEntries) {
-        r.fail();
-        return;
-    }
+    const std::uint64_t cold_size = r.boundedCount(_config.coldEntries);
     for (std::uint64_t i = 0; i < cold_size && !r.failed(); ++i)
         _cold.push_back(Row{r.u32()});
 }

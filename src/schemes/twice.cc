@@ -204,11 +204,7 @@ TwiCe::restoreState(ckpt::Reader &r)
 {
     ProtectionScheme::restoreState(r);
     _entries.clear();
-    const std::uint64_t entry_count = r.u64();
-    if (entry_count > _capacity) {
-        r.fail();
-        return;
-    }
+    const std::uint64_t entry_count = r.boundedCount(_capacity);
     for (std::uint64_t i = 0; i < entry_count && !r.failed(); ++i) {
         const Row row{r.u32()};
         Entry entry;

@@ -58,9 +58,7 @@ Manifest::decodePayload(const std::vector<std::uint8_t> &payload)
 {
     ckpt::Reader r(payload);
     std::vector<Entry> entries;
-    const std::uint64_t count = r.u64();
-    if (count > r.remaining())
-        r.fail();
+    const std::uint64_t count = r.boundedCount();
     for (std::uint64_t i = 0; i < count && !r.failed(); ++i) {
         Entry entry;
         entry.spec = SessionSpec::load(r);

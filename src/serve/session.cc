@@ -74,11 +74,9 @@ sim::ActEngineConfig
 SessionSpec::engineConfig() const
 {
     sim::ActEngineConfig config;
-    config.scheme = scheme;
     // The session's geometry and clock are authoritative: the
     // embedded scheme spec is always re-derived against them.
-    config.scheme.rowsPerBank = rowsPerBank;
-    config.scheme.timing = timing;
+    config.scheme = schemes::bankSpec(scheme, rowsPerBank, timing);
     config.rowsPerBank = rowsPerBank;
     config.timing = timing;
     config.actRate = actRate;
@@ -160,8 +158,8 @@ SessionSpec::load(ckpt::Reader &r)
     spec.chunkRows = static_cast<std::size_t>(r.u64());
     // Keep the embedded scheme spec consistent with the session
     // fields, mirroring engineConfig().
-    spec.scheme.rowsPerBank = spec.rowsPerBank;
-    spec.scheme.timing = spec.timing;
+    spec.scheme =
+        schemes::bankSpec(spec.scheme, spec.rowsPerBank, spec.timing);
     return spec;
 }
 

@@ -1,7 +1,6 @@
 #include "sim/act_engine.hh"
 
 #include <algorithm>
-#include <utility>
 
 #include "ckpt/io.hh"
 #include "common/logging.hh"
@@ -21,11 +20,8 @@ ActEngineConfig::validate() const
     if (rowsPerBank == 0)
         errors.add("act engine: need at least one row per bank");
 
-    schemes::SchemeSpec spec = scheme;
-    spec.rowsPerBank = rowsPerBank;
-    spec.timing = timing;
-    const Result<void> spec_valid =
-        schemes::validateSchemeSpec(spec);
+    const Result<void> spec_valid = schemes::validateSchemeSpec(
+        schemes::bankSpec(scheme, rowsPerBank, timing));
     if (!spec_valid.ok()) {
         errors.add("scheme spec: " + spec_valid.error().message());
         for (const auto &note : spec_valid.error().notes())
@@ -52,147 +48,30 @@ faultConfigFor(const ActEngineConfig &config)
     return fault;
 }
 
+/** The per-bank scheme spec; aborts if @p config fails validate(). */
 schemes::SchemeSpec
-specFor(const ActEngineConfig &config)
-{
-    schemes::SchemeSpec spec = config.scheme;
-    spec.rowsPerBank = config.rowsPerBank;
-    spec.timing = config.timing;
-    return spec;
-}
-
-std::unique_ptr<ProtectionScheme>
-buildScheme(const ActEngineConfig &config)
+validatedSpec(const ActEngineConfig &config)
 {
     const Result<void> valid = config.validate();
     GRAPHENE_CHECK(valid.ok(),
                    "act engine: invalid config (validate() before "
                    "running): %s", valid.error().describe().c_str());
-    auto built = schemes::makeScheme(specFor(config));
-    GRAPHENE_CHECK(built.ok(),
-                   "act engine: invalid scheme spec: %s",
-                   built.error().describe().c_str());
-    return std::move(built).value();
-}
-
-/** Serialize a metrics snapshot into the checkpoint payload. */
-void
-saveMetrics(ckpt::Writer &w, const obs::MetricsRegistry::Snapshot &s)
-{
-    w.u64(s.scalars.size());
-    for (const auto &kv : s.scalars) {
-        w.str(kv.first);
-        w.f64(kv.second);
-    }
-    w.u64(s.histograms.size());
-    for (const auto &h : s.histograms) {
-        w.str(h.name);
-        w.u64(h.buckets.size());
-        for (std::uint64_t b : h.buckets)
-            w.u64(b);
-        w.f64(h.bucketWidth);
-        w.u64(h.count);
-        w.u64(h.overflow);
-        w.f64(h.sum);
-        w.f64(h.maxSeen);
-    }
-    w.u64(s.lastScalar.size());
-    for (const auto &kv : s.lastScalar) {
-        w.str(kv.first);
-        w.f64(kv.second);
-    }
-    w.u64(s.lastHistSamples.size());
-    for (const auto &kv : s.lastHistSamples) {
-        w.str(kv.first);
-        w.u64(kv.second);
-    }
-    w.u64(s.rows.size());
-    for (const auto &row : s.rows) {
-        w.u64(row.window);
-        w.u64(row.deltas.size());
-        for (const auto &kv : row.deltas) {
-            w.str(kv.first);
-            w.f64(kv.second);
-        }
-    }
-    w.u64(s.windowCycles);
-    w.u64(s.currentWindow);
-    w.boolean(s.open);
-}
-
-/** Guard a serialized element count against the bytes actually left:
- *  every element is at least one byte, so a larger count means the
- *  payload lied about its own layout. */
-std::uint64_t
-boundedCount(ckpt::Reader &r)
-{
-    const std::uint64_t n = r.u64();
-    if (n > r.remaining())
-        r.fail();
-    return r.failed() ? 0 : n;
-}
-
-obs::MetricsRegistry::Snapshot
-loadMetrics(ckpt::Reader &r)
-{
-    obs::MetricsRegistry::Snapshot s;
-    const std::uint64_t scalars = boundedCount(r);
-    for (std::uint64_t i = 0; i < scalars; ++i) {
-        std::string name = r.str();
-        const double v = r.f64();
-        s.scalars.emplace_back(std::move(name), v);
-    }
-    const std::uint64_t hists = boundedCount(r);
-    for (std::uint64_t i = 0; i < hists; ++i) {
-        obs::MetricsRegistry::Snapshot::HistogramState h;
-        h.name = r.str();
-        const std::uint64_t buckets = boundedCount(r);
-        h.buckets.reserve(buckets);
-        for (std::uint64_t b = 0; b < buckets; ++b)
-            h.buckets.push_back(r.u64());
-        h.bucketWidth = r.f64();
-        h.count = r.u64();
-        h.overflow = r.u64();
-        h.sum = r.f64();
-        h.maxSeen = r.f64();
-        s.histograms.push_back(std::move(h));
-    }
-    const std::uint64_t last_scalars = boundedCount(r);
-    for (std::uint64_t i = 0; i < last_scalars; ++i) {
-        std::string name = r.str();
-        s.lastScalar[std::move(name)] = r.f64();
-    }
-    const std::uint64_t last_hists = boundedCount(r);
-    for (std::uint64_t i = 0; i < last_hists; ++i) {
-        std::string name = r.str();
-        s.lastHistSamples[std::move(name)] = r.u64();
-    }
-    const std::uint64_t rows = boundedCount(r);
-    for (std::uint64_t i = 0; i < rows; ++i) {
-        obs::MetricsRegistry::WindowRow row;
-        row.window = r.u64();
-        const std::uint64_t deltas = boundedCount(r);
-        for (std::uint64_t d = 0; d < deltas; ++d) {
-            std::string name = r.str();
-            row.deltas[std::move(name)] = r.f64();
-        }
-        s.rows.push_back(std::move(row));
-    }
-    s.windowCycles = r.u64();
-    s.currentWindow = r.u64();
-    s.open = r.boolean();
-    return s;
+    return schemes::bankSpec(config.scheme, config.rowsPerBank,
+                             config.timing);
 }
 
 } // namespace
 
 ActStreamEngine::ActStreamEngine(const ActEngineConfig &config,
                                  workloads::ActPattern &pattern)
-    : _config(config), _pattern(pattern), _spec(specFor(config)),
-      _rank(config.timing, 1, config.rowsPerBank,
-            faultConfigFor(config)),
-      _scheme(buildScheme(config)),
-      _probe(obs::probeFor(config.obs, 0)),
+    : _config(config), _pattern(pattern),
+      // Chunk 0: the engine's victim refreshes stay atomic.
+      _kernel(dram::Rank(config.timing, 1, config.rowsPerBank,
+                         faultConfigFor(config)),
+              mem::buildBankSchemes(
+                  validatedSpec(config), 1,
+                  [seed = config.scheme.seed](unsigned) { return seed; }),
+              config.scheme.blastRadius, 0, config.obs),
       _horizon{static_cast<std::uint64_t>(
           static_cast<double>(config.timing.cREFW().value()) *
           config.windows)},
@@ -201,48 +80,6 @@ ActStreamEngine::ActStreamEngine(const ActEngineConfig &config,
 {
     if (_config.obs)
         _config.obs->metrics.beginWindows(_config.timing.cREFW());
-    if (_scheme)
-        _scheme->attachProbe(_probe);
-}
-
-void
-ActStreamEngine::applyAction(Cycle cycle)
-{
-    if (_action.empty())
-        return;
-    for (Row aggressor : _action.nrrAggressors) {
-        _rank.issueNrr(cycle, 0, aggressor, _spec.blastRadius);
-        ++_result.nrrEvents;
-    }
-    if (!_action.victimRows.empty()) {
-        std::vector<Row> rows;
-        rows.reserve(_action.victimRows.size());
-        for (Row r : _action.victimRows)
-            if (r.value() < _config.rowsPerBank)
-                rows.push_back(r);
-        _rank.refreshVictimRows(cycle, 0, rows);
-        if (!rows.empty())
-            _probe.count(cycle, "engine.victim_rows",
-                         static_cast<double>(rows.size()));
-    }
-    _action.clear();
-}
-
-void
-ActStreamEngine::catchUpRefresh(Cycle cycle)
-{
-    while (_rank.nextRefreshDue() <= cycle) {
-        const Cycle due = _rank.nextRefreshDue();
-        _rank.issueRefresh(due);
-        ++_result.refreshCommands;
-        _probe.emit(due, obs::EventKind::PeriodicRef);
-        _probe.count(due, "engine.refs");
-        if (_scheme) {
-            _action.clear();
-            _scheme->onRefresh(due, _action);
-            applyAction(due);
-        }
-    }
 }
 
 bool
@@ -251,23 +88,15 @@ ActStreamEngine::step()
     if (_done)
         return false;
 
+    // Victim refreshes and REF may push the bank's ACT availability
+    // past the nominal slot, and a REF caught up on the way there can
+    // push it once more.
+    dram::Bank &bank = _kernel.rank().bank(0);
     Cycle cycle{static_cast<std::uint64_t>(_nextAct)};
-    if (cycle >= _horizon) {
-        _done = true;
-        return false;
+    for (int settle = 0; settle < 2 && cycle < _horizon; ++settle) {
+        _kernel.catchUpRefresh(cycle);
+        cycle = bank.earliestAct(cycle);
     }
-    catchUpRefresh(cycle);
-
-    // Victim refreshes and REF may have pushed the bank's ACT
-    // availability past the nominal slot.
-    dram::Bank &bank = _rank.bank(0);
-    cycle = bank.earliestAct(cycle);
-    if (cycle >= _horizon) {
-        _done = true;
-        return false;
-    }
-    catchUpRefresh(cycle);
-    cycle = bank.earliestAct(cycle);
     if (cycle >= _horizon) {
         _done = true;
         return false;
@@ -276,16 +105,7 @@ ActStreamEngine::step()
     const Row row = _pattern.next();
     bank.issueAct(cycle, row);
     bank.issuePrecharge(bank.earliestPrecharge(cycle));
-    ++_result.acts;
-    _probe.emit(cycle, obs::EventKind::Act, row);
-    _probe.count(cycle, "engine.acts");
-    _rank.notifyActivate(cycle, 0, row);
-
-    if (_scheme) {
-        _action.clear();
-        _scheme->onActivate(cycle, row, _action);
-        applyAction(cycle);
-    }
+    _kernel.activate(cycle, 0, row);
 
     _nextAct = static_cast<double>(cycle.value()) + _spacing;
     return true;
@@ -329,26 +149,17 @@ ActStreamEngine::finish()
 {
     if (_config.obs)
         _config.obs->metrics.finish();
-    _result.victimRowsRefreshed = _rank.nrrRowCount();
-    _result.bitFlips = _rank.faultModel(0).flips().size();
-    _result.peakDisturbance = _rank.faultModel(0).peakDisturbance();
-    _result.windows = _config.windows;
-    _result.refreshEnergyOverhead =
-        model::EnergyModel::refreshOverhead(
-            _result.victimRowsRefreshed, 1, _config.windows);
-    return _result;
-}
-
-std::uint64_t
-ActStreamEngine::victimRowsRefreshedSoFar() const
-{
-    return _rank.nrrRowCount();
-}
-
-std::uint64_t
-ActStreamEngine::bitFlipsSoFar() const
-{
-    return _rank.faultModel(0).flips().size();
+    const std::uint64_t victims = victimRowsRefreshedSoFar();
+    return {.acts = actsSoFar(),
+            .victimRowsRefreshed = victims,
+            .nrrEvents = nrrEventsSoFar(),
+            .refreshCommands = refreshCommandsSoFar(),
+            .bitFlips = bitFlipsSoFar(),
+            .peakDisturbance =
+                _kernel.rank().faultModel(0).peakDisturbance(),
+            .refreshEnergyOverhead = model::EnergyModel::refreshOverhead(
+                victims, 1, _config.windows),
+            .windows = _config.windows};
 }
 
 std::uint64_t
@@ -394,17 +205,11 @@ ActStreamEngine::saveState(ckpt::Writer &w) const
 {
     w.f64(_nextAct);
     w.boolean(_done);
-    w.u64(_result.acts);
-    w.u64(_result.nrrEvents);
-    w.u64(_result.refreshCommands);
-    _rank.saveState(w);
-    w.boolean(_scheme != nullptr);
-    if (_scheme)
-        _scheme->saveState(w);
+    _kernel.saveState(w);
     _pattern.saveState(w);
     w.boolean(_config.obs != nullptr);
     if (_config.obs)
-        saveMetrics(w, _config.obs->metrics.snapshot());
+        _config.obs->metrics.saveState(w);
 }
 
 void
@@ -412,36 +217,20 @@ ActStreamEngine::restoreState(ckpt::Reader &r)
 {
     _nextAct = r.f64();
     _done = r.boolean();
-    _result = ActEngineResult{};
-    _result.acts = r.u64();
-    _result.nrrEvents = r.u64();
-    _result.refreshCommands = r.u64();
-    _rank.restoreState(r);
-    const bool has_scheme = r.boolean();
-    if (has_scheme != (_scheme != nullptr)) {
-        // The fingerprint covers the scheme kind, so a mismatch here
-        // means hand-edited bytes; reject rather than crash.
-        r.fail();
-        return;
-    }
-    if (_scheme) {
-        _scheme->restoreState(r);
-        _scheme->attachProbe(_probe);
-    }
+    _kernel.restoreState(r);
     _pattern.restoreState(r);
     const bool has_obs = r.boolean();
     if (has_obs && _config.obs) {
-        _config.obs->metrics.restore(loadMetrics(r));
+        _config.obs->metrics.restoreState(r);
     } else if (has_obs) {
         // Saved with a sink, resuming without one: drain the bytes so
         // finish() still validates, and drop the series.
-        (void)loadMetrics(r);
+        obs::MetricsRegistry().restoreState(r);
     } else if (_config.obs) {
         // Saved without a sink, resuming with one: the series starts
         // at the resume point; totals-based artifacts still match.
         _config.obs->metrics.beginWindows(_config.timing.cREFW());
     }
-    _action.clear();
 }
 
 std::vector<std::uint8_t>

@@ -31,7 +31,7 @@
 
 #include "ckpt/checkpoint.hh"
 #include "common/cancel.hh"
-#include "dram/rank.hh"
+#include "mem/protected_rank.hh"
 #include "obs/obs.hh"
 #include "schemes/factory.hh"
 #include "workloads/act_patterns.hh"
@@ -183,14 +183,20 @@ class ActStreamEngine
      * the streaming service reads these at window boundaries to emit
      * per-window deltas without waiting for finish().
      */
-    std::uint64_t actsSoFar() const { return _result.acts; }
-    std::uint64_t nrrEventsSoFar() const { return _result.nrrEvents; }
+    std::uint64_t actsSoFar() const { return _kernel.acts(); }
+    std::uint64_t nrrEventsSoFar() const { return _kernel.nrrEvents(); }
     std::uint64_t refreshCommandsSoFar() const
     {
-        return _result.refreshCommands;
+        return _kernel.rank().refreshCount();
     }
-    std::uint64_t victimRowsRefreshedSoFar() const;
-    std::uint64_t bitFlipsSoFar() const;
+    std::uint64_t victimRowsRefreshedSoFar() const
+    {
+        return _kernel.rank().nrrRowCount();
+    }
+    std::uint64_t bitFlipsSoFar() const
+    {
+        return _kernel.rank().faultModel(0).flips().size();
+    }
 
     /**
      * FNV-1a digest over every semantic knob of this run — scheme
@@ -218,21 +224,13 @@ class ActStreamEngine
     Result<void> restoreCheckpoint(const std::vector<std::uint8_t> &bytes);
 
   private:
-    void applyAction(Cycle cycle);
-    void catchUpRefresh(Cycle cycle);
-
     ActEngineConfig _config;          // analyze: ckpt-exempt(_config) config, fixed at construction
     workloads::ActPattern &_pattern;  // delegated via saveState recursion
-    schemes::SchemeSpec _spec;        // analyze: ckpt-exempt(_spec) derived from config
-    dram::Rank _rank;                 // delegated via saveState recursion
-    std::unique_ptr<ProtectionScheme> _scheme; // delegated via saveState recursion
-    obs::Probe _probe;                // analyze: ckpt-exempt(_probe) re-attached by the owner
+    mem::ProtectedRank _kernel;       // delegated via saveState recursion
     Cycle _horizon;                   // analyze: ckpt-exempt(_horizon) derived from config
     double _spacing;                  // analyze: ckpt-exempt(_spacing) derived from config
-    RefreshAction _action;            // analyze: ckpt-exempt(_action) transient scratch, empty between steps
     double _nextAct = 0.0;
     bool _done = false;
-    ActEngineResult _result;
 };
 
 /** Run @p pattern through one protected bank (one-shot wrapper). */

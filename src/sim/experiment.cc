@@ -13,10 +13,9 @@ namespace {
 schemes::SchemeSpec
 cellSpec(const SystemConfig &config, schemes::SchemeKind kind)
 {
-    schemes::SchemeSpec spec = config.scheme;
+    schemes::SchemeSpec spec = schemes::bankSpec(
+        config.scheme, config.geometry.rowsPerBank, config.timing);
     spec.kind = kind;
-    spec.rowsPerBank = config.geometry.rowsPerBank;
-    spec.timing = config.timing;
     return spec;
 }
 
@@ -24,10 +23,9 @@ cellSpec(const SystemConfig &config, schemes::SchemeKind kind)
 schemes::SchemeSpec
 cellSpec(const ActEngineConfig &config, schemes::SchemeKind kind)
 {
-    schemes::SchemeSpec spec = config.scheme;
+    schemes::SchemeSpec spec =
+        schemes::bankSpec(config.scheme, config.rowsPerBank, config.timing);
     spec.kind = kind;
-    spec.rowsPerBank = config.rowsPerBank;
-    spec.timing = config.timing;
     return spec;
 }
 

@@ -43,11 +43,8 @@ SystemConfig::validate() const
     if (geometry.rowsPerBank == 0)
         errors.add("need at least one row per bank");
 
-    schemes::SchemeSpec spec = scheme;
-    spec.rowsPerBank = geometry.rowsPerBank;
-    spec.timing = timing;
-    const Result<void> spec_valid =
-        schemes::validateSchemeSpec(spec);
+    const Result<void> spec_valid = schemes::validateSchemeSpec(
+        schemes::bankSpec(scheme, geometry.rowsPerBank, timing));
     if (!spec_valid.ok()) {
         errors.add("scheme spec: " + spec_valid.error().message());
         for (const auto &note : spec_valid.error().notes())

@@ -1,0 +1,60 @@
+#!/usr/bin/env bash
+# Golden parity: regenerate the fig8 overhead grid (controller and
+# engine cells), the ablation grid (the replayTrace path) and a
+# graphene_serve run (session JSONL plus checkpoint hashes), and
+# compare every artifact byte for byte with tests/data/golden/.
+#
+#   tests/golden_parity.sh <build-dir>            # check
+#   tests/golden_parity.sh <build-dir> --update   # rewrite the goldens
+#
+# Only rewrite the goldens in a change that is meant to alter results,
+# and say so in its description; a refactor must pass the check as is.
+set -euo pipefail
+
+build=$(cd "$1" && pwd)
+golden=$(cd "$(dirname "$0")/data/golden" && pwd)
+update=${2:-}
+
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+cd "$work"
+
+"$build/bench/fig8_overhead" --windows 0.005 --jobs 4 --no-progress \
+    --json fig8_overhead.jsonl > /dev/null 2>&1
+"$build/bench/ablation_scheduler" --windows 0.005 --no-progress \
+    --json ablation_scheduler.jsonl > /dev/null 2>&1
+"$build/tools/serve/graphene_serve" --sessions 8 --duration 0.05 \
+    --ckpt-every 4 --out serve > /dev/null 2>&1
+(cd serve/ckpt && sha256sum ./*.gckp) > serve/ckpt.sha256
+
+artifacts=(fig8_overhead.jsonl ablation_scheduler.jsonl
+           serve/ckpt.sha256)
+for f in serve/session_*.jsonl; do
+    artifacts+=("$f")
+done
+
+if [[ "$update" == "--update" ]]; then
+    mkdir -p "$golden/serve"
+    for f in "${artifacts[@]}"; do
+        cp "$f" "$golden/$f"
+    done
+    echo "golden_parity: rewrote ${#artifacts[@]} golden(s)"
+    exit 0
+fi
+
+expected=$(cd "$golden" && ls fig8_overhead.jsonl \
+    ablation_scheduler.jsonl serve/ckpt.sha256 serve/session_*.jsonl |
+    wc -l)
+if [[ ${#artifacts[@]} -ne $expected ]]; then
+    echo "golden_parity: ${#artifacts[@]} artifact(s), $expected golden(s)"
+    exit 1
+fi
+status=0
+for f in "${artifacts[@]}"; do
+    if ! cmp -s "$f" "$golden/$f"; then
+        echo "golden_parity: $f differs from tests/data/golden/$f"
+        status=1
+    fi
+done
+[[ $status -eq 0 ]] && echo "golden_parity: ${#artifacts[@]} artifact(s) identical"
+exit $status

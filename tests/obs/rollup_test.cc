@@ -16,6 +16,9 @@
 #include <sstream>
 #include <type_traits>
 
+#include "common/json.hh"
+#include "model/energy.hh"
+#include "obs/export.hh"
 #include "obs/metrics.hh"
 #include "obs/rollup.hh"
 
@@ -229,6 +232,67 @@ TEST(Rollup, FleetSumsAcrossUnevenTenants)
     EXPECT_DOUBLE_EQ(fleet[2].values.at("acts"), 3.0);
 
     EXPECT_DOUBLE_EQ(rollup.fleetTotals().at("acts"), 36.0);
+}
+
+TEST(Rollup, FleetValuesFollowMetricKinds)
+{
+    // The summaries of an 8-tenant graphene_serve run (default
+    // duration, 0.25 tREFW per tenant). Peaks are maxima and the
+    // energy overhead is a per-window ratio: neither may be summed.
+    struct Summary
+    {
+        double victimRows, peak, energy;
+    };
+    const Summary tenants[] = {
+        {493, 26, 0.020979888888888888},
+        {13876, 12500, 0.59050088888888885},
+        {54, 12615, 0.0022980000000000001},
+        {40, 8334, 0.0017022222222222224},
+        {470, 13005, 0.020001111111111112},
+        {14391, 27, 0.61241699999999999},
+        {40, 12516, 0.0017022222222222224},
+        {80, 8333, 0.0034044444444444447},
+    };
+    Rollup rollup;
+    std::uint64_t victim_rows = 0;
+    for (std::size_t i = 0; i < std::size(tenants); ++i) {
+        std::ostringstream line;
+        line << "{\"summary\":1,\"victim_rows_refreshed\":"
+             << tenants[i].victimRows
+             << ",\"peak_disturbance\":" << tenants[i].peak
+             << ",\"energy_overhead\":" << json::number(tenants[i].energy)
+             << ",\"windows\":0.25}\n";
+        TempFile file("kinds" + std::to_string(i), line.str());
+        const Result<SessionSeries> read =
+            readServeJsonl(file.path(), "t0" + std::to_string(i));
+        ASSERT_TRUE(read.ok()) << read.error().describe();
+        rollup.add(read.value());
+        victim_rows += static_cast<std::uint64_t>(tenants[i].victimRows);
+    }
+
+    const auto fleet = rollup.fleetTotals();
+    EXPECT_DOUBLE_EQ(fleet.at("victim_rows_refreshed"), 29444.0);
+    EXPECT_DOUBLE_EQ(fleet.at("peak_disturbance"), 13005.0);
+    EXPECT_DOUBLE_EQ(fleet.at("energy_overhead"),
+                     model::EnergyModel::refreshOverhead(victim_rows, 1,
+                                                         8 * 0.25));
+
+    std::ostringstream prom;
+    writeExposition(prom, rollup, ServiceStatus{});
+    const std::string text = prom.str();
+    EXPECT_NE(text.find("# TYPE graphene_fleet_peak_disturbance gauge\n"
+                        "graphene_fleet_peak_disturbance 13005\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("# TYPE graphene_fleet_energy_overhead gauge"),
+              std::string::npos);
+    EXPECT_NE(text.find("# TYPE graphene_serve_peak_disturbance gauge"),
+              std::string::npos);
+    EXPECT_NE(
+        text.find("# TYPE graphene_fleet_victim_rows_refreshed_total "
+                  "counter"),
+        std::string::npos);
+    EXPECT_EQ(text.find("peak_disturbance_total"), std::string::npos);
+    EXPECT_EQ(text.find("energy_overhead_total"), std::string::npos);
 }
 
 TEST(Rollup, WriteJsonlIsByteDeterministic)
