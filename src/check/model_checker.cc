@@ -8,9 +8,8 @@
 #include "common/random.hh"
 #include "common/zipf.hh"
 #include "core/tracker_count_min.hh"
+#include "core/tracker_counter_table.hh"
 #include "core/tracker_lossy_counting.hh"
-#include "core/tracker_misra_gries.hh"
-#include "core/tracker_space_saving.hh"
 
 namespace graphene {
 namespace check {
@@ -412,9 +411,11 @@ ModelChecker::makeSizedTracker(core::TrackerKind kind) const
 
     switch (kind) {
       case core::TrackerKind::MisraGries:
-        return std::make_unique<core::MisraGriesTracker>(entries);
       case core::TrackerKind::SpaceSaving:
-        return std::make_unique<core::SpaceSavingTracker>(entries);
+        return std::make_unique<core::CounterTableTracker>(
+            entries, kind == core::TrackerKind::SpaceSaving
+                         ? core::CounterTable::Policy::SpaceSaving
+                         : core::CounterTable::Policy::MisraGries);
       case core::TrackerKind::LossyCounting: {
         // Bucket width W/T keeps the insertion delta below T (the
         // protection-parity sizing of core::makeTracker).
@@ -562,14 +563,10 @@ ModelChecker::runStream(const StreamFamily &family, std::uint64_t seed,
     auto auditInternals = [&](std::uint64_t step) {
         (void)step;
         ++report.checks;
-        if (const auto *mg =
-                dynamic_cast<const core::MisraGriesTracker *>(
-                    &tracker)) {
-            mg->table().checkInvariants();
-        } else if (const auto *ss = dynamic_cast<
-                       const core::SpaceSavingTracker *>(&tracker)) {
-            ss->checkInvariants();
-        }
+        if (const auto *table =
+                dynamic_cast<const core::CounterTableTracker *>(
+                    &tracker))
+            table->table().checkInvariants();
     };
 
     for (std::uint64_t step = 0; step < _config.streamLength;

@@ -1,6 +1,7 @@
 #include "core/counter_table.hh"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <utility>
 
@@ -11,13 +12,15 @@
 namespace graphene {
 namespace core {
 
-CounterTable::CounterTable(unsigned num_entries)
+CounterTable::CounterTable(unsigned num_entries, Policy policy)
+    : _policy(policy)
 {
     GRAPHENE_CHECK(num_entries > 0,
                    "counter table: need at least one entry");
     _entries.resize(num_entries);
     // All slots start at count 0; they live in bucket 0 so the first
-    // misses naturally claim them (count 0 == initial spillover 0).
+    // misses naturally claim them in slot order (count 0 == initial
+    // spillover 0, and the minimum count until the table fills).
     for (unsigned i = 0; i < num_entries; ++i)
         _buckets[ActCount{}].insert(i);
 }
@@ -28,9 +31,12 @@ CounterTable::moveBucket(unsigned slot, ActCount from, ActCount to)
     auto it = _buckets.find(from);
     GRAPHENE_CHECK(it != _buckets.end() && it->second.erase(slot) != 0,
                    "counter table: bucket bookkeeping broken");
+    // Hits and replacements move a slot up by one count, so the next
+    // bucket is where `to` belongs: the hint makes that O(1).
+    const auto next = std::next(it);
     if (it->second.empty())
         _buckets.erase(it);
-    _buckets[to].insert(slot);
+    _buckets.try_emplace(next, to)->second.insert(slot);
 }
 
 CounterTable::Result
@@ -56,10 +62,13 @@ CounterTable::processActivation(Row addr)
         return result;
     }
 
-    auto bucket = _buckets.find(_spillover);
+    // Entry replace: Misra-Gries takes an entry whose count equals
+    // the spillover count, Space-Saving the minimum-count entry; the
+    // lowest slot wins a tie and the old count carries over (+1).
+    const bool misra_gries = _policy == Policy::MisraGries;
+    auto bucket =
+        misra_gries ? _buckets.find(_spillover) : _buckets.begin();
     if (bucket != _buckets.end() && !bucket->second.empty()) {
-        // Entry replace: take any entry whose count equals the
-        // spillover count; the old count carries over (+1).
         const unsigned slot = *bucket->second.begin();
         Entry &e = _entries[slot];
         if (e.addr.isValid()) {
@@ -72,9 +81,13 @@ CounterTable::processActivation(Row addr)
         } else {
             ++_occupied;
         }
-        GRAPHENE_EXPECTS(e.count == _spillover,
+        GRAPHENE_EXPECTS(!misra_gries || e.count == _spillover,
                          "replacement candidate must sit exactly at "
                          "the spillover count (Figure 1 flow)");
+        GRAPHENE_EXPECTS(misra_gries ||
+                             e.count * _entries.size() <= _streamLength,
+                         "evicted minimum exceeds W / N — the estimate "
+                         "bound the protection sizing relies on");
         moveBucket(slot, e.count, e.count + ActCount{1});
         e.addr = addr;
         ++e.count;
@@ -82,13 +95,14 @@ CounterTable::processActivation(Row addr)
         result.inserted = true;
         result.estimatedCount = e.count;
         result.slot = slot;
-        GRAPHENE_ENSURES(result.estimatedCount ==
-                             _spillover + ActCount{1},
+        GRAPHENE_ENSURES(!misra_gries || result.estimatedCount ==
+                                             _spillover + ActCount{1},
                          "inserted count must carry spillover + 1");
         return result;
     }
 
-    // No replacement: the spillover count absorbs the activation.
+    // No replacement (Misra-Gries only: Space-Saving always has a
+    // minimum): the spillover count absorbs the activation.
     ++_spillover;
     result.spilled = true;
     // Lemma 2: a spill means every entry is strictly hotter than the
@@ -279,9 +293,17 @@ CounterTable::checkInvariants() const
     GRAPHENE_CHECK(minEstimatedCount() >= _spillover,
                    "a count fell below the spillover count");
 
-    // Lemma 2: spillover <= streamLength / (Nentry + 1).
-    GRAPHENE_CHECK(_spillover * (_entries.size() + 1) <= _streamLength,
-                   "spillover exceeded W / (Nentry + 1)");
+    if (_policy == Policy::MisraGries) {
+        // Lemma 2: spillover <= streamLength / (Nentry + 1).
+        GRAPHENE_CHECK(_spillover * (_entries.size() + 1) <=
+                           _streamLength,
+                       "spillover exceeded W / (Nentry + 1)");
+    } else {
+        // Space-Saving: the minimum count <= streamLength / Nentry.
+        GRAPHENE_CHECK(minEstimatedCount() * _entries.size() <=
+                           _streamLength,
+                       "minimum count exceeded W / Nentry");
+    }
 
     // Conservation: spillover + sum(counts) == streamLength.
     ActCount sum = _spillover;

@@ -1,8 +1,9 @@
 /**
  * @file
- * The Misra-Gries counter table at the heart of Graphene
- * (paper Section III-A, Figures 1-2, and the CAM pseudo-code of
- * Figure 5).
+ * The stream-summary counter table at the heart of Graphene: the
+ * Misra-Gries table of paper Section III-A (Figures 1-2, and the CAM
+ * pseudo-code of Figure 5), and the Space-Saving variant Section VI
+ * compares it with.
  *
  * The table is an associative array of (row address, estimated count)
  * entries plus a spillover count register. On every activation:
@@ -21,6 +22,11 @@
  *  - Lemma 2: the spillover count never exceeds W / (Nentry + 1)
  *    after W activations.
  *
+ * Space-Saving [Metwally et al., ICDT 2005] changes only the miss
+ * rule: it always replaces the lowest-numbered slot among the
+ * minimum-count entries, the newcomer inherits that count plus one,
+ * and nothing ever spills. Its minimum never exceeds W / Nentry.
+ *
  * This model keeps full-precision logical counts; the overflow-bit
  * bit-width optimisation of Section IV-B changes only the physical
  * layout, which model::AreaModel accounts for.
@@ -30,6 +36,7 @@
 #define CORE_COUNTER_TABLE_HH
 
 #include <cstdint>
+#include <map>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -46,12 +53,19 @@ class Reader;
 namespace core {
 
 /**
- * Fixed-capacity Misra-Gries frequent-elements tracker over a stream
- * of DRAM row addresses.
+ * Fixed-capacity frequent-elements tracker over a stream of DRAM row
+ * addresses: Misra-Gries (Graphene) or Space-Saving.
  */
 class CounterTable
 {
   public:
+    /** Miss rule, fixed at construction. */
+    enum class Policy
+    {
+        MisraGries,  ///< Replace a spillover-count entry, else spill.
+        SpaceSaving, ///< Always replace the minimum-count entry.
+    };
+
     /** One associative entry. */
     struct Entry
     {
@@ -75,7 +89,8 @@ class CounterTable
     };
 
     /** @param num_entries table capacity Nentry (must be > 0). */
-    explicit CounterTable(unsigned num_entries);
+    explicit CounterTable(unsigned num_entries,
+                          Policy policy = Policy::MisraGries);
 
     /** Process one activated row address (Figure 1 flow). */
     Result processActivation(Row addr);
@@ -96,6 +111,8 @@ class CounterTable
         return static_cast<unsigned>(_entries.size());
     }
 
+    Policy policy() const { return _policy; }
+
     /** Entries currently holding a valid address. */
     unsigned occupied() const { return _occupied; }
 
@@ -109,11 +126,13 @@ class CounterTable
 
     /**
      * Panic unless the internal invariants hold: every count >= the
-     * spillover count, and spillover <= streamLength / (Nentry + 1).
-     * Used by the property tests after every step. Must not be called
-     * on a table that has had faults injected and not yet been
-     * scrubbed/reset: the conservation check is a hard panic, and a
-     * flipped bit legitimately breaks it.
+     * spillover count, spillover + sum(counts) == streamLength, and
+     * the policy's bound — spillover <= streamLength / (Nentry + 1)
+     * for Misra-Gries, min count <= streamLength / Nentry for
+     * Space-Saving. Used by the property tests after every step. Must
+     * not be called on a table that has had faults injected and not
+     * yet been scrubbed/reset: the conservation check is a hard panic,
+     * and a flipped bit legitimately breaks it.
      */
     void checkInvariants() const;
 
@@ -187,18 +206,21 @@ class CounterTable
   private:
     void moveBucket(unsigned slot, ActCount from, ActCount to);
 
+    Policy _policy; // analyze: ckpt-exempt(_policy) config, fixed at construction
     std::vector<Entry> _entries;
     /// Map from row address to slot index.
     std::unordered_map<Row, unsigned> _index;
     /// Map from count value to the set of slots holding that count:
     /// every slot sits in exactly the bucket of its current count, so
-    /// restoreState() rebuilds the map from the entries. The inner
-    /// set is *ordered* by slot index on purpose: replacement takes
-    /// the bucket's begin(), and with an unordered set that choice
-    /// would depend on insertion history — state a checkpoint cannot
-    /// capture — so a resumed run could evict a different (equally
-    /// valid) slot and silently diverge from the uninterrupted one.
-    std::unordered_map<ActCount, std::set<unsigned>>
+    /// restoreState() rebuilds the map from the entries. The map is
+    /// ordered so Space-Saving finds the minimum at begin(); the
+    /// inner set is *ordered* by slot index on purpose: replacement
+    /// takes the bucket's begin(), and with an unordered set that
+    /// choice would depend on insertion history — state a checkpoint
+    /// cannot capture — so a resumed run could evict a different
+    /// (equally valid) slot and silently diverge from the
+    /// uninterrupted one.
+    std::map<ActCount, std::set<unsigned>>
         _buckets; // analyze: ckpt-exempt(_buckets) rebuilt from entries on restore
     ActCount _spillover{};
     ActCount _streamLength{};

@@ -9,22 +9,6 @@
 namespace graphene {
 namespace core {
 
-namespace {
-
-/** Bits needed to represent values in [0, n]. */
-unsigned
-bitsFor(std::uint64_t n)
-{
-    unsigned bits = 0;
-    while (n > 0) {
-        ++bits;
-        n >>= 1;
-    }
-    return bits == 0 ? 1 : bits;
-}
-
-} // namespace
-
 Graphene::Graphene(const GrapheneConfig &config,
                    std::uint64_t rows_per_bank)
     : _config(config), _rowsPerBank(rows_per_bank),
@@ -135,11 +119,11 @@ Graphene::costFor(const GrapheneConfig &config,
     const ActCount w = config.maxActsPerWindow();
     const unsigned entries = config.numEntries();
 
-    const unsigned addr_bits = bitsFor(rows_per_bank - 1);
+    const unsigned addr_bits = bitsFor(rows_per_bank - 1, 1);
     // Raw counts must reach W; the overflow-bit optimisation caps the
     // counter at T and adds one sticky overflow bit (Section IV-B).
-    const unsigned count_bits =
-        optimized ? bitsFor(t.value() - 1) + 1 : bitsFor(w.value());
+    const unsigned count_bits = optimized ? bitsFor(t.value() - 1, 1) + 1
+                                          : bitsFor(w.value(), 1);
 
     TableCost cost;
     cost.entries = entries;

@@ -13,6 +13,8 @@
 #ifndef CORE_PROTECTION_SCHEME_HH
 #define CORE_PROTECTION_SCHEME_HH
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -57,6 +59,18 @@ struct TableCost
 
     std::uint64_t totalBits() const { return camBits + sramBits; }
 };
+
+/**
+ * Bits needed to store every value in [0, @p n] — the width of n's
+ * binary representation — but at least @p min_bits. TableCost fields
+ * sized as registers pass min_bits = 1 (a register holding only 0
+ * still takes a bit); the others let a zero range cost nothing.
+ */
+constexpr unsigned
+bitsFor(std::uint64_t n, unsigned min_bits = 0)
+{
+    return std::max(static_cast<unsigned>(std::bit_width(n)), min_bits);
+}
 
 /**
  * Abstract per-bank Row Hammer protection scheme.

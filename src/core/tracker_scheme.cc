@@ -4,9 +4,8 @@
 
 #include "common/logging.hh"
 #include "core/tracker_count_min.hh"
+#include "core/tracker_counter_table.hh"
 #include "core/tracker_lossy_counting.hh"
-#include "core/tracker_misra_gries.hh"
-#include "core/tracker_space_saving.hh"
 
 namespace graphene {
 namespace core {
@@ -40,15 +39,15 @@ makeTracker(TrackerKind kind, const GrapheneConfig &config)
 
     switch (kind) {
       case TrackerKind::MisraGries:
-        return std::make_unique<MisraGriesTracker>(
-            config.numEntries());
-
       case TrackerKind::SpaceSaving:
-        // Same capacity criterion as Misra-Gries: with N > W/T - 1
-        // entries the summary minimum stays below T, so no row can
-        // reach T while untracked.
-        return std::make_unique<SpaceSavingTracker>(
-            config.numEntries());
+        // Space Saving takes Misra-Gries's capacity criterion: with
+        // N > W/T - 1 entries the summary minimum stays below T, so
+        // no row can reach T while untracked.
+        return std::make_unique<CounterTableTracker>(
+            config.numEntries(),
+            kind == TrackerKind::SpaceSaving
+                ? CounterTable::Policy::SpaceSaving
+                : CounterTable::Policy::MisraGries);
 
       case TrackerKind::LossyCounting: {
         // Bucket width w = W/T keeps the insertion delta strictly

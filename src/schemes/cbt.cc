@@ -265,12 +265,8 @@ Cbt::onActivate(Cycle cycle, Row row, RefreshAction &action)
 TableCost
 Cbt::cost() const
 {
-    unsigned count_bits = 0;
-    for (std::uint64_t n = _config.finalThreshold(); n > 0; n >>= 1)
-        ++count_bits;
-    unsigned addr_bits = 0;
-    for (std::uint64_t n = _config.rowsPerBank - 1; n > 0; n >>= 1)
-        ++addr_bits;
+    const unsigned count_bits = bitsFor(_config.finalThreshold());
+    const unsigned addr_bits = bitsFor(_config.rowsPerBank - 1);
 
     // Each counter stores its count plus the subtree prefix locating
     // it in the tree; CBT is SRAM-based (Table IV).

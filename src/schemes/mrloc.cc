@@ -89,9 +89,7 @@ MrLoc::onActivate(Cycle cycle, Row row, RefreshAction &action)
 TableCost
 MrLoc::cost() const
 {
-    unsigned addr_bits = 0;
-    for (std::uint64_t n = _config.rowsPerBank - 1; n > 0; n >>= 1)
-        ++addr_bits;
+    const unsigned addr_bits = bitsFor(_config.rowsPerBank - 1);
     TableCost cost;
     cost.entries = _config.queueEntries;
     cost.sramBits =

@@ -115,9 +115,7 @@ ProHit::cost() const
 {
     // Both tables store a row address per entry in SRAM; the hot
     // table's ordering is positional, needing no extra bits.
-    unsigned addr_bits = 0;
-    for (std::uint64_t n = _config.rowsPerBank - 1; n > 0; n >>= 1)
-        ++addr_bits;
+    const unsigned addr_bits = bitsFor(_config.rowsPerBank - 1);
     TableCost cost;
     cost.entries = _config.hotEntries + _config.coldEntries;
     cost.sramBits = static_cast<std::uint64_t>(cost.entries) * addr_bits;

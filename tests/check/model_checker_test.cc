@@ -12,7 +12,7 @@
 #include <sstream>
 
 #include "check/model_checker.hh"
-#include "core/tracker_misra_gries.hh"
+#include "core/tracker_counter_table.hh"
 #include "workloads/trace_io.hh"
 
 namespace graphene {
@@ -45,7 +45,8 @@ smallConfig()
 class OffByOneReportTracker : public core::AggressorTracker
 {
   public:
-    explicit OffByOneReportTracker(unsigned entries) : _inner(entries)
+    explicit OffByOneReportTracker(unsigned entries)
+        : _inner(entries, core::CounterTable::Policy::MisraGries)
     {
     }
 
@@ -81,7 +82,7 @@ class OffByOneReportTracker : public core::AggressorTracker
     }
 
   private:
-    core::MisraGriesTracker _inner;
+    core::CounterTableTracker _inner;
 };
 
 TEST(ModelChecker, ProvidesAtLeastTenStreamFamilies)

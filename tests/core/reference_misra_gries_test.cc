@@ -3,8 +3,9 @@
  * Differential test: the production CounterTable (bucket-indexed for
  * O(1) updates) against a deliberately naive, obviously-correct
  * Misra-Gries reference that follows the paper's Figure 1 flowchart
- * with linear scans. Any divergence in observable state across long
- * random streams is a bug in one of them.
+ * with linear scans, and the Space-Saving tracker against a linear-scan
+ * Space-Saving reference (Section VI). Any divergence in observable
+ * state across long random streams is a bug in one of them.
  */
 
 #include <gtest/gtest.h>
@@ -12,10 +13,12 @@
 #include <algorithm>
 #include <map>
 #include <tuple>
+#include <unordered_set>
 #include <vector>
 
 #include "common/random.hh"
 #include "core/counter_table.hh"
+#include "core/tracker_counter_table.hh"
 
 namespace graphene {
 namespace core {
@@ -88,6 +91,74 @@ class ReferenceMisraGries
     std::vector<std::pair<Row, std::uint64_t>> _table;
 };
 
+/**
+ * Space-Saving by linear scan: a miss fills the next free slot, then
+ * evicts the lowest-numbered slot among the minimum counts, and the
+ * newcomer inherits that minimum plus one.
+ */
+class ReferenceSpaceSaving
+{
+  public:
+    explicit ReferenceSpaceSaving(unsigned entries)
+        : _entries(entries)
+    {
+    }
+
+    std::uint64_t
+    activate(Row addr)
+    {
+        ++_streamLength;
+        for (auto &e : _table)
+            if (e.first == addr)
+                return ++e.second;
+        if (_table.size() < _entries) {
+            _table.emplace_back(addr, 1);
+            return 1;
+        }
+        std::size_t victim = 0;
+        for (std::size_t i = 1; i < _table.size(); ++i)
+            if (_table[i].second < _table[victim].second)
+                victim = i;
+        _table[victim].first = addr;
+        return ++_table[victim].second;
+    }
+
+    std::uint64_t
+    count(Row addr) const
+    {
+        for (const auto &e : _table)
+            if (e.first == addr)
+                return e.second;
+        return 0;
+    }
+
+    /** Smallest count, 0 while a slot is still free. */
+    std::uint64_t
+    minCount() const
+    {
+        if (_table.size() < _entries)
+            return 0;
+        std::uint64_t min = _table.front().second;
+        for (const auto &e : _table)
+            min = std::min(min, e.second);
+        return min;
+    }
+
+    std::uint64_t streamLength() const { return _streamLength; }
+
+    void
+    reset()
+    {
+        _table.clear();
+        _streamLength = 0;
+    }
+
+  private:
+    unsigned _entries;
+    std::uint64_t _streamLength = 0;
+    std::vector<std::pair<Row, std::uint64_t>> _table;
+};
+
 class DifferentialStream
     : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>
 {
@@ -123,6 +194,48 @@ TEST_P(DifferentialStream, ObservableStateAlwaysMatches)
             std::sort(counts.begin(), counts.end());
             ASSERT_EQ(counts, reference.countMultiset())
                 << "step " << i;
+        }
+    }
+}
+
+TEST_P(DifferentialStream, SpaceSavingMatchesReference)
+{
+    // Unlike Misra-Gries, the eviction tie-break (lowest slot among
+    // the minimum counts) is pinned here, so per-row estimates must
+    // match exactly, across window resets too.
+    const auto [entries, seed] = GetParam();
+    CounterTableTracker tracker(entries,
+                                CounterTable::Policy::SpaceSaving);
+    ReferenceSpaceSaving reference(entries);
+    Rng rng(seed);
+    std::vector<Row> seen;
+    std::unordered_set<Row> seen_set;
+
+    for (int i = 0; i < 12000; ++i) {
+        if (i % 2500 == 2499) {
+            tracker.reset();
+            reference.reset();
+            seen.clear();
+            seen_set.clear();
+        }
+        const Row row = rng.bernoulli(0.4)
+                            ? Row{static_cast<Row::rep>(rng.nextRange(3))}
+                            : Row{static_cast<Row::rep>(rng.nextRange(500))};
+        if (seen_set.insert(row).second)
+            seen.push_back(row);
+        ASSERT_EQ(tracker.processActivation(row).value(),
+                  reference.activate(row))
+            << "step " << i;
+        ASSERT_EQ(tracker.table().minEstimatedCount().value(),
+                  reference.minCount())
+            << "step " << i;
+        ASSERT_EQ(tracker.table().streamLength().value(),
+                  reference.streamLength())
+            << "step " << i;
+        for (const Row r : seen) {
+            ASSERT_EQ(tracker.estimatedCount(r).value(),
+                      reference.count(r))
+                << "row " << r << " step " << i;
         }
     }
 }

@@ -14,10 +14,9 @@
 #include "common/random.hh"
 #include "core/graphene.hh"
 #include "core/tracker_count_min.hh"
+#include "core/tracker_counter_table.hh"
 #include "core/tracker_lossy_counting.hh"
-#include "core/tracker_misra_gries.hh"
 #include "core/tracker_scheme.hh"
-#include "core/tracker_space_saving.hh"
 
 namespace graphene {
 namespace core {
@@ -29,17 +28,17 @@ namespace {
 
 TEST(SpaceSaving, FillsBeforeEvicting)
 {
-    SpaceSavingTracker t(3);
+    CounterTableTracker t(3, CounterTable::Policy::SpaceSaving);
     EXPECT_EQ(t.processActivation(Row{1}).value(), 1u);
     EXPECT_EQ(t.processActivation(Row{2}).value(), 1u);
     EXPECT_EQ(t.processActivation(Row{3}).value(), 1u);
     EXPECT_EQ(t.processActivation(Row{1}).value(), 2u);
-    EXPECT_EQ(t.minCount().value(), 1u);
+    EXPECT_EQ(t.table().minEstimatedCount().value(), 1u);
 }
 
 TEST(SpaceSaving, MissReplacesMinimumAndInheritsIt)
 {
-    SpaceSavingTracker t(2);
+    CounterTableTracker t(2, CounterTable::Policy::SpaceSaving);
     t.processActivation(Row{1});
     t.processActivation(Row{1});
     t.processActivation(Row{2}); // counts {1:2, 2:1}
@@ -52,22 +51,36 @@ TEST(SpaceSaving, MissReplacesMinimumAndInheritsIt)
 
 TEST(SpaceSaving, MinBoundedByStreamOverCapacity)
 {
-    SpaceSavingTracker t(8);
+    CounterTableTracker t(8, CounterTable::Policy::SpaceSaving);
     Rng rng(3);
     for (int i = 0; i < 10000; ++i) {
         t.processActivation(Row{static_cast<Row::rep>(rng.nextRange(100))});
-        t.checkInvariants();
+        t.table().checkInvariants();
     }
-    EXPECT_LE(t.minCount().value(), 10000u / 8u);
+    EXPECT_LE(t.table().minEstimatedCount().value(), 10000u / 8u);
 }
 
 TEST(SpaceSaving, ResetClears)
 {
-    SpaceSavingTracker t(4);
+    CounterTableTracker t(4, CounterTable::Policy::SpaceSaving);
     t.processActivation(Row{1});
     t.reset();
     EXPECT_EQ(t.estimatedCount(Row{1}).value(), 0u);
-    EXPECT_EQ(t.streamLength().value(), 0u);
+    EXPECT_EQ(t.table().streamLength().value(), 0u);
+}
+
+TEST(CounterTableTracker, PolicyPicksNameAndBound)
+{
+    const CounterTableTracker mg(81, CounterTable::Policy::MisraGries);
+    const CounterTableTracker ss(81, CounterTable::Policy::SpaceSaving);
+    EXPECT_EQ(mg.name(), "misra-gries");
+    EXPECT_EQ(ss.name(), "space-saving");
+    // W / (Nentry + 1) for Misra-Gries, W / Nentry for Space Saving.
+    EXPECT_DOUBLE_EQ(mg.overestimateBound(ActCount{8200}), 100.0);
+    EXPECT_DOUBLE_EQ(ss.overestimateBound(ActCount{8100}), 100.0);
+    // One CAM layout: 16 address bits + 21 count bits per entry.
+    EXPECT_EQ(mg.cost(65536).camBits, 81u * 37u);
+    EXPECT_EQ(ss.cost(65536).camBits, 81u * 37u);
 }
 
 // ---------------------------------------------------------------

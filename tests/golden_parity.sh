@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Golden parity: regenerate the fig8 overhead grid (controller and
-# engine cells), the ablation grid (the replayTrace path) and a
-# graphene_serve run (session JSONL plus checkpoint hashes), and
-# compare every artifact byte for byte with tests/data/golden/.
+# engine cells), the ablation grid (the replayTrace path), a
+# graphene_serve run (session JSONL plus checkpoint hashes) and the
+# stdout of the tracker table drivers (secVI_trackers,
+# fig2_misra_gries_walkthrough, table4_table_sizes), and compare every
+# artifact byte for byte with tests/data/golden/.
 #
 #   tests/golden_parity.sh <build-dir>            # check
 #   tests/golden_parity.sh <build-dir> --update   # rewrite the goldens
@@ -26,9 +28,16 @@ cd "$work"
 "$build/tools/serve/graphene_serve" --sessions 8 --duration 0.05 \
     --ckpt-every 4 --out serve > /dev/null 2>&1
 (cd serve/ckpt && sha256sum ./*.gckp) > serve/ckpt.sha256
+tables=(secVI_trackers fig2_misra_gries_walkthrough table4_table_sizes)
+for t in "${tables[@]}"; do
+    "$build/bench/$t" > "$t.txt" 2> /dev/null
+done
 
 artifacts=(fig8_overhead.jsonl ablation_scheduler.jsonl
            serve/ckpt.sha256)
+for t in "${tables[@]}"; do
+    artifacts+=("$t.txt")
+done
 for f in serve/session_*.jsonl; do
     artifacts+=("$f")
 done
@@ -43,8 +52,8 @@ if [[ "$update" == "--update" ]]; then
 fi
 
 expected=$(cd "$golden" && ls fig8_overhead.jsonl \
-    ablation_scheduler.jsonl serve/ckpt.sha256 serve/session_*.jsonl |
-    wc -l)
+    ablation_scheduler.jsonl serve/ckpt.sha256 serve/session_*.jsonl \
+    "${tables[@]/%/.txt}" | wc -l)
 if [[ ${#artifacts[@]} -ne $expected ]]; then
     echo "golden_parity: ${#artifacts[@]} artifact(s), $expected golden(s)"
     exit 1
