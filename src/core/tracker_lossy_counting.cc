@@ -26,8 +26,8 @@ void
 LossyCountingTracker::pruneAtBoundary()
 {
     std::vector<Row> dead;
-    // lint: order-independent (collect-then-erase, per-entry test)
-    for (const auto &kv : _table)
+    // Order-independent (collect-then-erase, per-entry test).
+    for (const auto &kv : _table) // analyze: allow(unordered-map-iteration)
         if (kv.second.frequency + kv.second.delta <= _bucket)
             dead.push_back(kv.first);
     for (Row r : dead)

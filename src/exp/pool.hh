@@ -18,7 +18,7 @@
  * for the determinism regression tests.
  *
  * This is the only place in the tree allowed to construct
- * std::thread (enforced by the graphene_lint `raw-thread` rule): all
+ * std::thread (enforced by the graphene_analyze `raw-thread` rule): all
  * parallelism flows through the pool so every parallel code path
  * inherits the determinism contract.
  */
@@ -60,7 +60,7 @@ class Pool
      * an exception retires the item and is rethrown after the drain,
      * first one wins). This is how src/serve multiplexes long-lived
      * session quanta over the one thread abstraction the tree allows
-     * (the `raw-thread` lint rule): each item is a cooperative
+     * (the `raw-thread` analyzer rule): each item is a cooperative
      * coroutine-by-hand, and stealing balances sessions of uneven
      * length exactly as it balances uneven cells.
      *

@@ -5,14 +5,16 @@
  * check: the real repository must analyze with zero errors. These
  * are the tests that prove CI *would* fail on an introduced layer
  * back-edge, include cycle, unhashed fingerprint field, discarded
- * Result, or uncovered entry point.
+ * Result, uncovered entry point, or broken line-level convention.
  */
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -142,6 +144,123 @@ TEST(AnalyzePasses, CleanFixtureHasNoFindings)
 {
     // Waivered field + contracted entry point: all passes quiet.
     EXPECT_TRUE(analyzeFixture("clean").empty());
+}
+
+/** The conventions rule each known-bad fixture is named after. */
+const std::vector<std::string> kConventionRules = {
+    "raw-domain-type",        "nondeterministic-rng",
+    "unordered-map-iteration", "float-type",
+    "contract-macro-include", "boundary-fatal",
+    "raw-thread",             "direct-logging"};
+
+/** The fixture directory of @p rule: dashes become underscores. */
+std::string
+conventionFixture(std::string rule)
+{
+    std::replace(rule.begin(), rule.end(), '-', '_');
+    return rule;
+}
+
+std::vector<Finding>
+conventionFindings(const std::string &fixture)
+{
+    return runPasses(fixtureCorpus(fixture), {"conventions"});
+}
+
+TEST(ConventionsPass, EachRuleFlagsExactlyItsKnownBadLines)
+{
+    // Every finding of each fixture, as (file, line): all of the
+    // fixture's own rule, all errors, nothing else.
+    using Site = std::pair<std::string, unsigned>;
+    const std::map<std::string, std::vector<Site>> expected = {
+        // Parameter, locals, members, and both declarators of a
+        // comma list; counts and sizes stay quiet.
+        {"raw-domain-type",
+         {{"src/core/state.cc", 7},
+          {"src/core/state.cc", 9},
+          {"src/core/state.cc", 10},
+          {"src/core/state.cc", 16},
+          {"src/core/state.cc", 17},
+          {"src/core/state.cc", 18},
+          {"src/core/state.cc", 19},
+          {"src/core/state.cc", 19}}},
+        // srand(time(nullptr)), random_device, std::rand().
+        {"nondeterministic-rng",
+         {{"src/sim/roll.cc", 11},
+          {"src/sim/roll.cc", 12},
+          {"src/sim/roll.cc", 14}}},
+        // A ranged-for, then begin()/cbegin() on one line.
+        {"unordered-map-iteration",
+         {{"src/core/tracker.cc", 15}, {"src/core/tracker.cc", 23}}},
+        {"float-type",
+         {{"src/core/energy.cc", 5}, {"src/core/energy.cc", 6}}},
+        {"contract-macro-include", {{"src/core/half.hh", 12}}},
+        // fatal(, graphene::fatal(, ::graphene::fatal(,
+        // graphene::panic(, panic(; member and other-namespace
+        // calls stay quiet.
+        {"boundary-fatal",
+         {{"src/sim/parse.cc", 15},
+          {"src/sim/parse.cc", 17},
+          {"src/sim/parse.cc", 19},
+          {"src/sim/parse.cc", 23},
+          {"src/sim/parse.cc", 25}}},
+        {"raw-thread",
+         {{"src/sim/spawn.cc", 10}, {"src/sim/spawn.cc", 11}}},
+        // std::cout, printf, fprintf; cerr and snprintf stay quiet.
+        {"direct-logging",
+         {{"src/sim/report.cc", 11},
+          {"src/sim/report.cc", 13},
+          {"src/sim/report.cc", 15}}},
+    };
+    ASSERT_EQ(expected.size(), kConventionRules.size());
+    for (const std::string &rule : kConventionRules) {
+        SCOPED_TRACE(rule);
+        std::vector<Site> got;
+        for (const Finding &f :
+             conventionFindings(conventionFixture(rule))) {
+            EXPECT_EQ(f.rule, rule) << f.file << ":" << f.line;
+            EXPECT_EQ(f.severity, "error");
+            got.emplace_back(f.file, f.line);
+        }
+        EXPECT_EQ(got, expected.at(rule));
+    }
+}
+
+TEST(ConventionsPass, WaivedLinesStaySilent)
+{
+    // Every known-bad fixture carries at least one waiver. A marker
+    // on a code line covers that line; a marker on a comment-only
+    // line covers the line below it.
+    for (const std::string &rule : kConventionRules) {
+        SCOPED_TRACE(rule);
+        const Corpus corpus = fixtureCorpus(conventionFixture(rule));
+        std::set<std::pair<std::string, unsigned>> waived;
+        for (const SourceFile &file : corpus.files)
+            for (std::size_t i = 0; i < file.raw.size(); ++i) {
+                if (file.raw[i].find("analyze: allow(" + rule + ")") ==
+                    std::string::npos)
+                    continue;
+                const bool comment_only =
+                    file.code[i].find_first_not_of(" \t") ==
+                    std::string::npos;
+                waived.emplace(file.rel,
+                               static_cast<unsigned>(
+                                   comment_only ? i + 2 : i + 1));
+            }
+        EXPECT_FALSE(waived.empty());
+        std::vector<Finding> findings;
+        runConventionsPass(corpus, findings);
+        for (const Finding &f : findings)
+            EXPECT_FALSE(waived.count({f.file, f.line}))
+                << f.file << ":" << f.line << " is waived";
+    }
+}
+
+TEST(ConventionsPass, CleanFixtureHasNoFindings)
+{
+    // Every rule in scope, nothing to report, including
+    // `old_entries.begin()` next to an unordered_map named `entries`.
+    EXPECT_TRUE(analyzeFixture("conventions_clean").empty());
 }
 
 TEST(CkptPass, ForgottenMembersAndOneSidedPairsAreErrors)

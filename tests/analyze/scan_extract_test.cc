@@ -15,7 +15,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/scan.hh"
+#include "scan.hh"
 
 namespace {
 

@@ -2,7 +2,7 @@
  * @file
  * Determinism regression: the same seeded experiment run twice must
  * produce byte-identical statistics. Guards the property the
- * nondeterministic-rng lint rule exists to protect — every result in
+ * nondeterministic-rng analyzer rule exists to protect — every result in
  * the reproduction is a pure function of its configuration and seed.
  */
 

@@ -1,12 +1,42 @@
 /**
  * @file
- * graphene_analyze: whole-repo structural static analysis.
+ * graphene_analyze: the repo's one static-analysis binary.
  *
- * Where graphene_lint enforces line-level conventions, this tool
- * checks file- and graph-level properties of the tree (no libclang —
- * the same token-level scanning substrate from tools/common). Four
- * passes:
+ * Token-level (deliberately no libclang dependency; the scanning
+ * substrate is scan.hh) enforcement of line-level conventions and of
+ * file- and graph-level properties of the tree. The passes and their
+ * rules:
  *
+ *   conventions            Eight line-level rules over src/:
+ *     raw-domain-type        Domain quantities (cycles, rows, bank
+ *                            ids, addresses, activation counts) use
+ *                            the strong types from common/types.hh,
+ *                            not raw uint32_t/uint64_t.
+ *     nondeterministic-rng   No std::rand/srand, std::random_device
+ *                            or time-seeded RNG outside
+ *                            common/random: every experiment is
+ *                            reproducible from an explicit seed.
+ *     unordered-map-iteration
+ *                            Iterating a std::unordered_map in
+ *                            src/core or src/schemes risks
+ *                            order-dependent results; each audited
+ *                            loop carries a waiver.
+ *     float-type             No `float`: physical quantities are
+ *                            double (or integral strong types).
+ *     contract-macro-include A header using the GRAPHENE_* contract
+ *                            macros includes check/contracts.hh
+ *                            itself, not transitively.
+ *     boundary-fatal         No fatal()/panic() outside the
+ *                            logging/error/contract machinery:
+ *                            library code returns a typed Result or
+ *                            uses GRAPHENE_CHECK (DESIGN.md §9).
+ *     raw-thread             No std::thread/jthread/async outside
+ *                            src/exp/: parallelism goes through
+ *                            exp::Pool (DESIGN.md §10).
+ *     direct-logging         No std::cout / printf family outside
+ *                            common/logging: library code reports
+ *                            through obs:: probes or common/logging
+ *                            (std::cerr stays allowed).
  *   layer-dag              The architecture layering declared in
  *                          tools/analyze/layers.toml must hold in
  *                          the real `#include` graph: an include may
@@ -89,7 +119,7 @@
 #include <string>
 #include <vector>
 
-#include "common/scan.hh"
+#include "scan.hh"
 
 namespace graphene {
 namespace analyze {
@@ -190,6 +220,8 @@ bool parseLayersFile(const std::filesystem::path &file,
                      LayerConfig &config, std::string &error);
 
 /** Pass entry points; each appends findings. */
+void runConventionsPass(const Corpus &corpus,
+                        std::vector<Finding> &findings);
 void runLayerPass(const Corpus &corpus,
                   std::vector<Finding> &findings);
 void runFingerprintPass(const Corpus &corpus,

@@ -309,7 +309,8 @@ allPasses()
 {
     static const std::vector<std::string> passes = {
         "layer-dag", "fingerprint-completeness", "result-discard",
-        "coverage-audit", "perf-debt", "ckpt-completeness"};
+        "coverage-audit", "perf-debt", "ckpt-completeness",
+        "conventions"};
     return passes;
 }
 
@@ -332,6 +333,8 @@ runPasses(const Corpus &corpus, const std::set<std::string> &passes)
         runPerfPass(corpus, findings);
     if (want("ckpt-completeness"))
         runCkptPass(corpus, findings);
+    if (want("conventions"))
+        runConventionsPass(corpus, findings);
     return findings;
 }
 

@@ -5,9 +5,9 @@ namespace fx {
 
 struct Request
 {
-    std::uint64_t row = 0;
+    std::uint64_t row = 0;   // analyze: allow(raw-domain-type)
     std::uint64_t bank = 0;
-    std::uint64_t cycle = 0;
+    std::uint64_t cycle = 0; // analyze: allow(raw-domain-type)
     double weight = 0.0;
 };
 

@@ -7,7 +7,7 @@ namespace fx {
 struct Table
 {
     std::uint64_t
-    tick(std::uint64_t row)
+    tick(std::uint64_t row) // analyze: allow(raw-domain-type)
     {
         // Hashed lookup per tick: perf-hash-container.
         return ++_counts[row];

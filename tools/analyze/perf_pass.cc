@@ -401,8 +401,7 @@ perfWaived(const SourceFile &file, unsigned line_index,
 {
     return toolscan::suppressed(file.raw, line_index,
                                 "analyze: perf-exempt(") ||
-           toolscan::allowMarker(file.raw, line_index, "analyze",
-                                 rule);
+           toolscan::allowMarker(file.raw, line_index, rule);
 }
 
 /** Emit one perf finding with baseline/waiver handling. */

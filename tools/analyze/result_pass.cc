@@ -93,8 +93,27 @@ bodyLines(const SourceFile &file)
 void
 runResultPass(const Corpus &corpus, std::vector<Finding> &findings)
 {
-    const std::set<std::string> result_fns =
-        resultReturningNames(corpus);
+    // Two regexes per Result-returning name, compiled once for the
+    // whole tree rather than per line.
+    struct DiscardShapes
+    {
+        std::string fn;
+        // (void) cast of a Result-returning call: the error is
+        // silently dropped.
+        std::regex voidCast;
+        // A Result-returning call as a bare statement: the whole
+        // line is `obj.fn(...);` or `ns::fn(...);` with nothing
+        // consuming the value.
+        std::regex bareStmt;
+    };
+    std::vector<DiscardShapes> shapes;
+    for (const auto &fn : resultReturningNames(corpus))
+        shapes.push_back(
+            {fn,
+             std::regex(R"(\(\s*void\s*\)\s*(?:[\w:]+(?:\.|->))*)" +
+                        fn + R"(\s*\()"),
+             std::regex(R"(^\s*(?:[A-Za-z_][\w:]*(?:\.|->))*)" + fn +
+                        R"(\s*\(.*\)\s*;\s*$)")});
 
     for (const SourceFile &file : corpus.files) {
         const bool boundary = isBoundaryFile(file.rel);
@@ -112,8 +131,7 @@ runResultPass(const Corpus &corpus, std::vector<Finding> &findings)
             // the helper's own implementation.
             if (!boundary && !error_impl &&
                 line.find("unwrapOrFatal") != std::string::npos &&
-                !toolscan::allowMarker(file.raw, i, "analyze",
-                                       "result-discard")) {
+                !toolscan::allowMarker(file.raw, i, "result-discard")) {
                 findings.push_back(
                     {file.rel, static_cast<unsigned>(i + 1),
                      "result-discard",
@@ -146,31 +164,19 @@ runResultPass(const Corpus &corpus, std::vector<Finding> &findings)
             if (!starts_statement)
                 continue;
 
-            for (const auto &fn : result_fns) {
-                // (void) cast of a Result-returning call: the error
-                // is silently dropped.
-                const std::regex void_cast(
-                    R"(\(\s*void\s*\)\s*(?:[\w:]+(?:\.|->))*)" + fn +
-                    R"(\s*\()");
-                // A Result-returning call as a bare statement: the
-                // whole line is `obj.fn(...);` or `ns::fn(...);`
-                // with nothing consuming the value.
-                const std::regex bare_stmt(
-                    R"(^\s*(?:[A-Za-z_][\w:]*(?:\.|->))*)" + fn +
-                    R"(\s*\(.*\)\s*;\s*$)");
+            for (const DiscardShapes &shape : shapes) {
                 const bool voided =
-                    std::regex_search(line, void_cast);
-                if (!voided && !std::regex_match(line, bare_stmt))
+                    std::regex_search(line, shape.voidCast);
+                if (!voided && !std::regex_match(line, shape.bareStmt))
                     continue;
-                if (toolscan::allowMarker(file.raw, i, "analyze",
-                                          "result-discard"))
+                if (toolscan::allowMarker(file.raw, i, "result-discard"))
                     continue;
                 findings.push_back(
                     {file.rel, static_cast<unsigned>(i + 1),
                      "result-discard",
                      std::string(voided ? "(void)-cast"
                                         : "bare-statement call") +
-                         " discards the Result of '" + fn +
+                         " discards the Result of '" + shape.fn +
                          "': check .ok() and handle or propagate "
                          "the error (a dropped Result hides the "
                          "exact failure DESIGN.md §9 threads to "
