@@ -1,12 +1,13 @@
 #include "ckpt/checkpoint.hh"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <utility>
 
 #include "ckpt/io.hh"
 
@@ -29,20 +30,27 @@ encode(std::uint64_t config_fingerprint,
        const std::vector<std::uint8_t> &payload)
 {
     Writer w;
+    w.reserve(kHeaderSize + payload.size());
     w.bytes(kMagic, sizeof(kMagic));
     w.u32(kFormatVersion);
     w.u64(config_fingerprint);
     w.u64(payload.size());
     w.u64(fnv1a(payload.data(), payload.size()));
     w.u64(fnv1a(w.data().data(), w.size()));
-    Writer out = std::move(w);
-    out.bytes(payload.data(), payload.size());
-    return out.data();
+    w.bytes(payload.data(), payload.size());
+    return w.take();
 }
 
+namespace {
+
+/**
+ * The ordered validation behind decode() and loadFile(): every header
+ * and checksum check, without copying the payload. On success the
+ * returned Blob carries the header fields and an empty payload.
+ */
 Result<Blob>
-decode(const std::vector<std::uint8_t> &bytes,
-       std::optional<std::uint64_t> expected_config)
+validate(const std::vector<std::uint8_t> &bytes,
+         std::optional<std::uint64_t> expected_config)
 {
     // Ordered validation: each corruption class gets its own typed
     // rejection (see the header-file contract and the corpus tests).
@@ -107,10 +115,31 @@ decode(const std::vector<std::uint8_t> &bytes,
     Blob blob;
     blob.version = version;
     blob.configFingerprint = config_fp;
-    blob.payload.assign(bytes.begin()
-                            + static_cast<std::ptrdiff_t>(kHeaderSize),
-                        bytes.end());
     return blob;
+}
+
+} // namespace
+
+Result<Blob>
+decode(const std::vector<std::uint8_t> &bytes,
+       std::optional<std::uint64_t> expected_config)
+{
+    Result<Blob> blob = validate(bytes, expected_config);
+    if (blob.ok())
+        blob.value().payload.assign(
+            bytes.begin() + static_cast<std::ptrdiff_t>(kHeaderSize),
+            bytes.end());
+    return blob;
+}
+
+Result<Reader>
+payloadReader(const std::vector<std::uint8_t> &bytes,
+              std::optional<std::uint64_t> expected_config)
+{
+    const Result<Blob> header = validate(bytes, expected_config);
+    if (!header.ok())
+        return header.error();
+    return Reader(bytes.data() + kHeaderSize, bytes.size() - kHeaderSize);
 }
 
 Result<void>
@@ -183,19 +212,45 @@ Result<Blob>
 loadFile(const std::string &path,
          std::optional<std::uint64_t> expected_config)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0)
         return Error(ErrorCode::Io,
                      strprintf("cannot open checkpoint %s",
                                path.c_str()));
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    if (in.bad())
+    struct stat st{};
+    if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+        ::close(fd);
+        return Error(ErrorCode::Io,
+                     strprintf("checkpoint %s is not a regular file",
+                               path.c_str()));
+    }
+    // One sized read of the whole artifact (looping only on short
+    // reads), then the header stripped in place: the payload is never
+    // copied into a second buffer.
+    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(st.st_size));
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+        const ssize_t n =
+            ::read(fd, bytes.data() + off, bytes.size() - off);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break;
+        off += static_cast<std::size_t>(n);
+    }
+    const bool read_failed = off != bytes.size();
+    ::close(fd);
+    if (read_failed)
         return Error(ErrorCode::Io,
                      strprintf("read failure on checkpoint %s",
                                path.c_str()));
-    return decode(bytes, expected_config);
+    Result<Blob> blob = validate(bytes, expected_config);
+    if (!blob.ok())
+        return blob;
+    bytes.erase(bytes.begin(),
+                bytes.begin() + static_cast<std::ptrdiff_t>(kHeaderSize));
+    blob.value().payload = std::move(bytes);
+    return blob;
 }
 
 } // namespace ckpt

@@ -45,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/io.hh"
 #include "common/error.hh"
 
 namespace graphene {
@@ -70,7 +71,10 @@ struct Blob
     std::vector<std::uint8_t> payload;
 };
 
-/** Frame @p payload into a complete artifact byte string. */
+/**
+ * Frame @p payload into a complete artifact byte string: one
+ * allocation, the payload appended once, the result moved out.
+ */
 std::vector<std::uint8_t>
 encode(std::uint64_t config_fingerprint,
        const std::vector<std::uint8_t> &payload);
@@ -84,6 +88,13 @@ Result<Blob> decode(const std::vector<std::uint8_t> &bytes,
                     std::optional<std::uint64_t> expected_config);
 
 /**
+ * decode()'s validation without its payload copy: a Reader over the
+ * payload where it lies in @p bytes, which must outlive the Reader.
+ */
+Result<Reader> payloadReader(const std::vector<std::uint8_t> &bytes,
+                             std::optional<std::uint64_t> expected_config);
+
+/**
  * Write @p bytes to @p path atomically: unique tmp sibling, fsync,
  * rename. On any failure the destination is untouched.
  */
@@ -95,7 +106,11 @@ Result<void> saveFile(const std::string &path,
                       std::uint64_t config_fingerprint,
                       const std::vector<std::uint8_t> &payload);
 
-/** Slurp @p path (Io error on open/read failure) and decode(). */
+/**
+ * Read @p path with one sized read and decode() it, the header
+ * stripped in place rather than the payload copied. Io error when the
+ * file cannot be opened or read or is not a regular file.
+ */
 Result<Blob> loadFile(const std::string &path,
                       std::optional<std::uint64_t> expected_config);
 

@@ -13,7 +13,9 @@
  * §14).
  *
  * Encoding rules:
- *  - integers: little-endian, fixed width (u8/u32/u64);
+ *  - integers: little-endian, fixed width (u8/u32/u64), written and
+ *    read with one memcpy per field on little-endian hosts (a byte
+ *    loop on others; the bytes are the same);
  *  - doubles: exact IEEE-754 bit pattern as u64 (bit-identical
  *    round-trip, the determinism guarantee needs nothing less);
  *  - bools: one byte, 0 or 1;
@@ -26,9 +28,11 @@
 #ifndef CKPT_IO_HH
 #define CKPT_IO_HH
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hh"
@@ -43,21 +47,9 @@ class Writer
     // analyze: perf-exempt(checkpoint serialization runs at save/restore boundaries, never per-ACT)
     void u8(std::uint8_t v) { _buf.push_back(v); }
 
-    // analyze: perf-exempt(checkpoint serialization runs at save/restore boundaries, never per-ACT)
-    void u32(std::uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            _buf.push_back(
-                static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-    }
+    void u32(std::uint32_t v) { fixed(v); }
 
-    // analyze: perf-exempt(checkpoint serialization runs at save/restore boundaries, never per-ACT)
-    void u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            _buf.push_back(
-                static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-    }
+    void u64(std::uint64_t v) { fixed(v); }
 
     /** Exact IEEE-754 bit pattern: restores bit-identically. */
     void f64(double v)
@@ -81,10 +73,39 @@ class Writer
         _buf.insert(_buf.end(), p, p + size);
     }
 
+    /** Room for exactly @p size more bytes, for a writer whose final
+     *  size is known up front (encode()). */
+    void reserve(std::size_t size) { _buf.reserve(_buf.size() + size); }
+
     const std::vector<std::uint8_t> &data() const { return _buf; }
     std::size_t size() const { return _buf.size(); }
 
+    /** Move the encoded bytes out; the writer is left empty. */
+    std::vector<std::uint8_t> take()
+    {
+        std::vector<std::uint8_t> out = std::move(_buf);
+        _buf.clear();
+        return out;
+    }
+
   private:
+    /** One fixed-width little-endian field: a single grow and copy on
+     *  little-endian hosts, a byte loop elsewhere. */
+    template <typename T>
+    void fixed(T v)
+    {
+        const std::size_t at = _buf.size();
+        // analyze: perf-exempt(checkpoint serialization runs at save/restore boundaries, never per-ACT)
+        _buf.resize(at + sizeof(T));
+        if constexpr (std::endian::native == std::endian::little) {
+            std::memcpy(_buf.data() + at, &v, sizeof(T));
+        } else {
+            for (std::size_t i = 0; i < sizeof(T); ++i)
+                _buf[at + i] =
+                    static_cast<std::uint8_t>((v >> (8 * i)) & 0xff);
+        }
+    }
+
     std::vector<std::uint8_t> _buf;
 };
 
@@ -114,29 +135,9 @@ class Reader
         return _data[_pos++];
     }
 
-    std::uint32_t u32()
-    {
-        if (!need(4))
-            return 0;
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(_data[_pos + i])
-                 << (8 * i);
-        _pos += 4;
-        return v;
-    }
+    std::uint32_t u32() { return fixed<std::uint32_t>(); }
 
-    std::uint64_t u64()
-    {
-        if (!need(8))
-            return 0;
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(_data[_pos + i])
-                 << (8 * i);
-        _pos += 8;
-        return v;
-    }
+    std::uint64_t u64() { return fixed<std::uint64_t>(); }
 
     double f64()
     {
@@ -208,6 +209,23 @@ class Reader
     }
 
   private:
+    /** The mirror of Writer::fixed(): zero on a short read. */
+    template <typename T>
+    T fixed()
+    {
+        if (!need(sizeof(T)))
+            return 0;
+        T v = 0;
+        if constexpr (std::endian::native == std::endian::little) {
+            std::memcpy(&v, _data + _pos, sizeof(T));
+        } else {
+            for (std::size_t i = 0; i < sizeof(T); ++i)
+                v |= static_cast<T>(_data[_pos + i]) << (8 * i);
+        }
+        _pos += sizeof(T);
+        return v;
+    }
+
     bool need(std::uint64_t n)
     {
         if (_failed || n > _size - _pos) {

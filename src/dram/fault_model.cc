@@ -1,6 +1,7 @@
 #include "dram/fault_model.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "ckpt/io.hh"
 #include "common/logging.hh"
@@ -10,7 +11,8 @@ namespace graphene {
 namespace dram {
 
 FaultModel::FaultModel(const FaultConfig &config, std::uint64_t num_rows)
-    : _config(config), _numRows(num_rows), _cells(num_rows)
+    : _config(config), _numRows(num_rows), _cells(num_rows),
+      _touched((num_rows + 63) / 64)
 {
     GRAPHENE_CHECK(!_config.mu.empty(),
                    "fault model: empty coefficient vector");
@@ -88,6 +90,10 @@ void
 FaultModel::deposit(Cycle cycle, Row victim, double amount)
 {
     CellState &cell = _cells[victim.value()];
+    // Unconditional: testing whether the cell was fresh first is a
+    // branch on a cache-missing load that sparse traffic mispredicts.
+    _touched[victim.value() / 64] |= std::uint64_t{1}
+                                     << (victim.value() % 64);
     cell.disturbance += amount;
     if (cell.disturbance > _peak)
         _peak = cell.disturbance;
@@ -104,6 +110,8 @@ FaultModel::onRowRefresh(Row row)
     GRAPHENE_CHECK(row.value() < _numRows,
                    "refresh of out-of-range row %u", row.value());
     _cells[row.value()] = CellState{};
+    _touched[row.value() / 64] &= ~(std::uint64_t{1}
+                                    << (row.value() % 64));
 }
 
 double
@@ -113,25 +121,41 @@ FaultModel::disturbance(Row row) const
                                   : 0.0;
 }
 
+template <typename F>
+void
+FaultModel::forEachTouched(F &&f) const
+{
+    for (std::size_t word = 0; word < _touched.size(); ++word)
+        for (std::uint64_t bits = _touched[word]; bits != 0;
+             bits &= bits - 1)
+            f(Row{static_cast<Row::rep>(
+                word * 64 +
+                static_cast<unsigned>(std::countr_zero(bits)))});
+}
+
 void
 FaultModel::saveState(ckpt::Writer &w) const
 {
     // Sparse cell encoding: a bank holds 64Ki rows but an attack
     // disturbs a handful, so only non-default cells are written, in
-    // row order (deterministic bytes).
+    // row order (deterministic bytes). The touched bitmap is a
+    // superset of them (a zero-weight deposit touches a row without
+    // disturbing it), hence the filter.
+    auto live_cell = [this](Row row) {
+        const CellState &c = _cells[row.value()];
+        return c.disturbance != 0.0 || c.flipped;
+    };
     std::uint64_t live = 0;
-    for (const CellState &c : _cells)
-        if (c.disturbance != 0.0 || c.flipped)
-            ++live;
+    forEachTouched([&](Row row) { live += live_cell(row) ? 1 : 0; });
     w.u64(live);
-    for (std::uint64_t i = 0; i < _numRows; ++i) {
-        const CellState &c = _cells[i];
-        if (c.disturbance == 0.0 && !c.flipped)
-            continue;
-        w.u32(static_cast<std::uint32_t>(i));
+    forEachTouched([&](Row row) {
+        if (!live_cell(row))
+            return;
+        const CellState &c = _cells[row.value()];
+        w.u32(row.value());
         w.f64(c.disturbance);
         w.boolean(c.flipped);
-    }
+    });
     w.u64(_flips.size());
     for (const BitFlip &f : _flips) {
         w.u32(f.victimRow.value());
@@ -144,7 +168,8 @@ FaultModel::saveState(ckpt::Writer &w) const
 void
 FaultModel::restoreState(ckpt::Reader &r)
 {
-    std::fill(_cells.begin(), _cells.end(), CellState{});
+    forEachTouched([this](Row row) { _cells[row.value()] = CellState{}; });
+    std::fill(_touched.begin(), _touched.end(), 0);
     const std::uint64_t live = r.u64();
     if (live > _numRows) {
         r.fail();
@@ -159,6 +184,8 @@ FaultModel::restoreState(ckpt::Reader &r)
             return;
         }
         _cells[row.value()] = CellState{disturbance, flipped};
+        _touched[row.value() / 64] |= std::uint64_t{1}
+                                      << (row.value() % 64);
     }
     _flips.clear();
     const std::uint64_t flip_count = r.boundedCount(_numRows);

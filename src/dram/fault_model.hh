@@ -114,7 +114,8 @@ class FaultModel
     /**
      * Serialize the charge state sparsely: only rows with non-default
      * cells (disturbed or flipped), in row order, plus the flip log
-     * and the peak (DESIGN.md §14).
+     * and the peak (DESIGN.md §14). Costs O(rows touched since their
+     * last refresh), not O(rows): it walks the touched-row bitmap.
      */
     void saveState(ckpt::Writer &w) const;
 
@@ -130,10 +131,18 @@ class FaultModel
 
     void deposit(Cycle cycle, Row victim, double amount);
 
+    /** Call @p f with every row whose touched bit is set, in order. */
+    template <typename F>
+    void forEachTouched(F &&f) const;
+
     FaultConfig _config;    // analyze: ckpt-exempt(_config) config, rebuilt by the constructor
     std::uint64_t _numRows; // analyze: ckpt-exempt(_numRows) config, rebuilt by the constructor
     /// Dense per-row charge state (one entry per row of the bank).
     std::vector<CellState> _cells;
+    /// One bit per row, set by a deposit and cleared by the row's
+    /// refresh: a superset of the non-default cells, so save and
+    /// restore visit only these rows.
+    std::vector<std::uint64_t> _touched; // analyze: ckpt-exempt(_touched) rebuilt by restoreState from the saved rows
     std::vector<BitFlip> _flips;
     double _peak = 0.0;
     /// Logical -> physical and inverse permutations (remap only):

@@ -245,11 +245,11 @@ Result<void>
 ActStreamEngine::restoreCheckpoint(
     const std::vector<std::uint8_t> &bytes)
 {
-    Result<ckpt::Blob> blob =
-        ckpt::decode(bytes, configFingerprint());
-    if (!blob.ok())
-        return blob.error();
-    ckpt::Reader r(blob.value().payload);
+    Result<ckpt::Reader> payload =
+        ckpt::payloadReader(bytes, configFingerprint());
+    if (!payload.ok())
+        return payload.error();
+    ckpt::Reader &r = payload.value();
     restoreState(r);
     return r.finish();
 }

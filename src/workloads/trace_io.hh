@@ -13,6 +13,12 @@
  *    engine via TracePattern, e.g. a recorded attacker pattern.
  *
  * Lines starting with '#' are comments; blank lines are ignored.
+ * Both readers scan record lines with one std::from_chars-based field
+ * scanner whose grammar is that of formatted istream extraction in
+ * the classic locale: leading and trailing whitespace (including a
+ * '\r' before the newline) is skipped, a number may carry a '+',
+ * a line with a '-' anywhere is rejected, and hex fields accept
+ * "0x"/"0X" prefixes.
  */
 
 #ifndef WORKLOADS_TRACE_IO_HH
@@ -119,6 +125,9 @@ class ActTraceCursor
 
   private:
     std::istream *_is;
+    /// Line buffer kept across read() calls, so steady-state reads
+    /// reuse its capacity.
+    std::string _line;
     std::size_t _lineNo = 0;
     std::uint64_t _records = 0;
     bool _eof = false;

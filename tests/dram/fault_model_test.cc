@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
+#include "ckpt/io.hh"
+#include "common/random.hh"
 #include "dram/fault_model.hh"
 
 namespace graphene {
@@ -175,6 +180,161 @@ TEST(FaultModel, OneFlipRecordedPerExcursion)
     for (std::uint64_t i = 0; i < 10; ++i)
         f.onActivate(Cycle{100 + i}, Row{500});
     EXPECT_EQ(f.flips().size(), 3u);
+}
+
+/** A saveState() stream decoded field by field. */
+struct SavedState
+{
+    std::vector<std::tuple<std::uint32_t, double, bool>> cells;
+    std::vector<std::tuple<std::uint32_t, std::uint64_t, double>> flips;
+    double peak = 0.0;
+};
+
+std::vector<std::uint8_t>
+saveBytes(const FaultModel &f)
+{
+    ckpt::Writer w;
+    f.saveState(w);
+    return w.data();
+}
+
+SavedState
+decodeSaved(const FaultModel &f)
+{
+    const std::vector<std::uint8_t> bytes = saveBytes(f);
+    ckpt::Reader r(bytes);
+    SavedState s;
+    const std::uint64_t live = r.u64();
+    for (std::uint64_t i = 0; i < live; ++i) {
+        const std::uint32_t row = r.u32();
+        const double d = r.f64();
+        s.cells.emplace_back(row, d, r.boolean());
+    }
+    const std::uint64_t flips = r.u64();
+    for (std::uint64_t i = 0; i < flips; ++i) {
+        const std::uint32_t row = r.u32();
+        const std::uint64_t cycle = r.u64();
+        s.flips.emplace_back(row, cycle, r.f64());
+    }
+    s.peak = r.f64();
+    EXPECT_TRUE(r.finish().ok());
+    return s;
+}
+
+std::vector<std::uint32_t>
+savedRows(const FaultModel &f)
+{
+    std::vector<std::uint32_t> rows;
+    for (const auto &cell : decodeSaved(f).cells)
+        rows.push_back(std::get<0>(cell));
+    return rows;
+}
+
+TEST(FaultModelSave, DepositedThenRefreshedRowIsNotWritten)
+{
+    FaultModel f(smallConfig(100.0), 1000);
+    f.onActivate(Cycle{0}, Row{500});
+    f.onActivate(Cycle{1}, Row{20});
+    EXPECT_EQ(savedRows(f),
+              (std::vector<std::uint32_t>{19, 21, 499, 501}));
+    f.onRowRefresh(Row{499});
+    f.onRowRefresh(Row{19});
+    const SavedState s = decodeSaved(f);
+    ASSERT_EQ(s.cells.size(), 2u);
+    EXPECT_EQ(s.cells[0], std::make_tuple(21u, 1.0, false));
+    EXPECT_EQ(s.cells[1], std::make_tuple(501u, 1.0, false));
+    EXPECT_EQ(s.peak, 1.0) << "the peak survives the refresh";
+}
+
+TEST(FaultModelSave, FlippedRowsAreWritten)
+{
+    FaultModel f(smallConfig(10.0), 1000);
+    for (std::uint64_t i = 0; i < 12; ++i)
+        f.onActivate(Cycle{i}, Row{7});
+    f.onActivate(Cycle{12}, Row{900});
+    const SavedState s = decodeSaved(f);
+    ASSERT_EQ(s.cells.size(), 4u);
+    EXPECT_EQ(s.cells[0], std::make_tuple(6u, 12.0, true));
+    EXPECT_EQ(s.cells[1], std::make_tuple(8u, 12.0, true));
+    EXPECT_EQ(s.cells[2], std::make_tuple(899u, 1.0, false));
+    EXPECT_EQ(s.cells[3], std::make_tuple(901u, 1.0, false));
+    ASSERT_EQ(s.flips.size(), 2u);
+    EXPECT_EQ(s.flips[0], std::make_tuple(6u, std::uint64_t{9}, 10.0));
+    EXPECT_EQ(s.flips[1], std::make_tuple(8u, std::uint64_t{9}, 10.0));
+    EXPECT_EQ(s.peak, 12.0);
+
+    // A refresh clears the flipped cell; the flip log keeps it.
+    f.onRowRefresh(Row{6});
+    const SavedState after = decodeSaved(f);
+    EXPECT_EQ(after.cells.size(), 3u);
+    EXPECT_EQ(after.flips.size(), 2u);
+}
+
+TEST(FaultModelSave, RefreshingAnUntouchedRowIsANoOp)
+{
+    FaultModel f(smallConfig(100.0, 2), 1000);
+    f.onActivate(Cycle{0}, Row{500});
+    const std::vector<std::uint8_t> before = saveBytes(f);
+    f.onRowRefresh(Row{100});
+    f.onRowRefresh(Row{0});
+    f.onRowRefresh(Row{999});
+    EXPECT_EQ(saveBytes(f), before);
+}
+
+TEST(FaultModelSave, ZeroWeightDepositsAreNotWritten)
+{
+    // A zero coefficient at distance 2 touches rows it never
+    // disturbs; only non-default cells are part of the state.
+    FaultConfig c = smallConfig(100.0, 2);
+    c.mu = {1.0, 0.0};
+    FaultModel f(c, 1000);
+    f.onActivate(Cycle{0}, Row{500});
+    EXPECT_EQ(savedRows(f), (std::vector<std::uint32_t>{499, 501}));
+}
+
+/** Seeded activity: ACTs around a few aggressors, refreshes, flips. */
+void
+exercise(FaultModel &f, std::uint64_t seed)
+{
+    Rng rng(seed);
+    for (std::uint64_t i = 0; i < 4000; ++i) {
+        const Row row{static_cast<Row::rep>(
+            rng.bernoulli(0.7) ? 100 + rng.nextRange(8)
+                               : rng.nextRange(f.numRows()))};
+        if (rng.bernoulli(0.1))
+            f.onRowRefresh(row);
+        else
+            f.onActivate(Cycle{i}, row);
+    }
+}
+
+TEST(FaultModelSave, RestoreThenSaveIsByteIdentical)
+{
+    for (const bool remap : {false, true}) {
+        FaultConfig c = smallConfig(60.0, 2);
+        c.remap = remap;
+        FaultModel f(c, 4096);
+        exercise(f, 11);
+        ASSERT_FALSE(f.flips().empty());
+        const std::vector<std::uint8_t> saved = saveBytes(f);
+
+        // Restore onto a fresh model and onto one with other state:
+        // both must save the same bytes back.
+        FaultModel fresh(c, 4096);
+        FaultModel dirty(c, 4096);
+        exercise(dirty, 12);
+        for (FaultModel *target : {&fresh, &dirty}) {
+            ckpt::Reader r(saved);
+            target->restoreState(r);
+            ASSERT_TRUE(r.finish().ok());
+            EXPECT_EQ(saveBytes(*target), saved) << "remap " << remap;
+        }
+
+        // And the restored model evolves exactly as the original.
+        exercise(f, 13);
+        exercise(dirty, 13);
+        EXPECT_EQ(saveBytes(dirty), saveBytes(f)) << "remap " << remap;
+    }
 }
 
 } // namespace

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Golden parity: regenerate the fig8 overhead grid (controller and
 # engine cells), the ablation grid (the replayTrace path), a
-# graphene_serve run (session JSONL plus checkpoint hashes) and the
+# graphene_serve run (8 pattern tenants and one ACT-trace tenant:
+# session JSONL plus checkpoint hashes) and the
 # stdout of the tracker table drivers (secVI_trackers,
 # fig2_misra_gries_walkthrough, table4_table_sizes), and compare every
 # artifact byte for byte with tests/data/golden/.
@@ -25,8 +26,12 @@ cd "$work"
     --json fig8_overhead.jsonl > /dev/null 2>&1
 "$build/bench/ablation_scheduler" --windows 0.005 --no-progress \
     --json ablation_scheduler.jsonl > /dev/null 2>&1
+# The trace tenant reads a committed ACT trace through a relative path
+# (the path is part of its checkpoint fingerprint), pinning chunked
+# ingest and the trace-position bytes of its checkpoints.
+cp "$golden/serve_trace.act" serve_trace.act
 "$build/tools/serve/graphene_serve" --sessions 8 --duration 0.05 \
-    --ckpt-every 4 --out serve > /dev/null 2>&1
+    --ckpt-every 4 --trace serve_trace.act --out serve > /dev/null 2>&1
 (cd serve/ckpt && sha256sum ./*.gckp) > serve/ckpt.sha256
 tables=(secVI_trackers fig2_misra_gries_walkthrough table4_table_sizes)
 for t in "${tables[@]}"; do
