@@ -59,7 +59,6 @@ namespace check {
 class ExactCounter
 {
   public:
-    // analyze: perf-exempt(differential reference, not simulated)
     void
     processActivation(Row row)
     {
@@ -67,7 +66,6 @@ class ExactCounter
         ++_streamLength;
     }
 
-    // analyze: perf-exempt(differential reference, not simulated)
     std::uint64_t
     count(Row row) const
     {
@@ -75,7 +73,6 @@ class ExactCounter
         return it == _counts.end() ? 0 : it->second;
     }
 
-    // analyze: perf-exempt(differential reference, not simulated)
     void
     reset()
     {

@@ -32,8 +32,9 @@
  * run first); a version-skew corpus file therefore carries a valid,
  * recomputed header checksum so it fails step 4 and nothing else.
  *
- * saveFile() writes atomically: tmp file, fsync, rename — the same
- * discipline as tools/perf_baseline.sh — so a crash mid-save leaves
+ * saveFile() writes atomically: the bytes go to a tmp file next to
+ * the target, the tmp file is fsynced, then renamed over the target.
+ * rename() is atomic within a directory, so a crash mid-save leaves
  * either the previous artifact or none, never a torn one.
  */
 

@@ -44,7 +44,6 @@ namespace ckpt {
 class Writer
 {
   public:
-    // analyze: perf-exempt(checkpoint serialization runs at save/restore boundaries, never per-ACT)
     void u8(std::uint8_t v) { _buf.push_back(v); }
 
     void u32(std::uint32_t v) { fixed(v); }
@@ -95,7 +94,6 @@ class Writer
     void fixed(T v)
     {
         const std::size_t at = _buf.size();
-        // analyze: perf-exempt(checkpoint serialization runs at save/restore boundaries, never per-ACT)
         _buf.resize(at + sizeof(T));
         if constexpr (std::endian::native == std::endian::little) {
             std::memcpy(_buf.data() + at, &v, sizeof(T));

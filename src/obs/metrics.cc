@@ -7,7 +7,6 @@
 namespace graphene {
 namespace obs {
 
-// analyze: perf-exempt(sweep setup, runs once per experiment)
 void
 MetricsRegistry::beginWindows(Cycle window_cycles)
 {
@@ -53,7 +52,6 @@ MetricsRegistry::sample(Cycle cycle, const std::string &name, double v,
     _group.histogram(name, num_buckets, max).sample(v);
 }
 
-// analyze: perf-exempt(window boundary, not per-activation)
 void
 MetricsRegistry::closeWindow()
 {
@@ -120,7 +118,6 @@ restoreMap(ckpt::Reader &r, Take take)
 
 } // namespace
 
-// analyze: perf-exempt(checkpoint boundary, not per-activation)
 void
 MetricsRegistry::saveState(ckpt::Writer &w) const
 {
@@ -147,7 +144,6 @@ MetricsRegistry::saveState(ckpt::Writer &w) const
     w.boolean(_open);
 }
 
-// analyze: perf-exempt(checkpoint boundary, not per-activation)
 void
 MetricsRegistry::restoreState(ckpt::Reader &r)
 {

@@ -244,7 +244,6 @@ PatternSource::fill(std::vector<Row> &out, std::size_t max)
 {
     out.reserve(out.size() + max);
     for (std::size_t i = 0; i < max; ++i)
-        // analyze: perf-exempt(ActPattern polymorphism is the source seam itself, same dispatch the engine pays in NoisyPattern::next)
         out.push_back(_pattern->next());
     return max;
 }
@@ -310,10 +309,8 @@ makeSource(const SourceSpec &spec, std::uint64_t rows_per_bank)
 // ---------------------------------------------------------------------------
 // StreamPattern
 
-// The source's name is captured once here: refill() sits in the
-// per-ACT hot region, where a virtual name() call on the error path
-// would drag every name() definition in the tree into the region's
-// static call graph.
+// The source's name is captured once here, so refill(), which runs
+// on the per-ACT path, needs no virtual name() call on its error path.
 StreamPattern::StreamPattern(ActSource &source, std::size_t chunk_rows)
     : _source(source), _chunkRows(chunk_rows == 0 ? 1 : chunk_rows),
       _sourceName(source.name())

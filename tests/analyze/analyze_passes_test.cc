@@ -48,19 +48,6 @@ analyzeFixture(const std::string &name)
     return runPasses(fixtureCorpus(name), {});
 }
 
-/** Same for the perf-debt corpora (hotpaths.toml per fixture). */
-std::vector<Finding>
-analyzePerfFixture(const std::string &name)
-{
-    const fs::path root =
-        fs::path(GRAPHENE_ANALYZE_PERF_FIXTURES) / name;
-    return runPasses(buildCorpus(root, root / "layers.toml",
-                                 root / "coverage_baseline.txt",
-                                 root / "hotpaths.toml",
-                                 root / "perf_baseline.txt"),
-                     {});
-}
-
 bool
 hasRule(const std::vector<Finding> &findings, const std::string &rule)
 {
@@ -315,170 +302,12 @@ TEST(CkptPass, RealTreeCheckpointPairsAreComplete)
     EXPECT_TRUE(corpus.byRel.count("src/sim/act_engine.cc"));
 }
 
-TEST(PerfPass, AllocationInHotRegionIsAnError)
-{
-    const auto findings = analyzePerfFixture("alloc_in_hot");
-    // Both the direct make_unique in tick() and the unreserved
-    // push_back in the transitively-hot record() must fire.
-    const auto count = std::count_if(
-        findings.begin(), findings.end(), [](const Finding &f) {
-            return f.rule == "perf-alloc" && f.severity == "error";
-        });
-    EXPECT_GE(count, 2);
-    // The finding names the hot function and its root provenance.
-    const auto it = std::find_if(
-        findings.begin(), findings.end(),
-        [](const Finding &f) { return f.rule == "perf-alloc"; });
-    ASSERT_NE(it, findings.end());
-    EXPECT_NE(it->message.find("hot via 'tick'"), std::string::npos);
-}
-
-TEST(PerfPass, HashContainerTouchInHotRegionIsAnError)
-{
-    const auto findings = analyzePerfFixture("hash_in_hot");
-    const auto it = std::find_if(findings.begin(), findings.end(),
-                                 [](const Finding &f) {
-                                     return f.rule ==
-                                            "perf-hash-container";
-                                 });
-    ASSERT_NE(it, findings.end());
-    EXPECT_EQ(it->severity, "error");
-    // The message points back at the declaring container.
-    EXPECT_NE(it->message.find("unordered_map"), std::string::npos);
-    EXPECT_NE(it->message.find("_counts"), std::string::npos);
-}
-
-TEST(PerfPass, VirtualDispatchInHotRegionIsAnError)
-{
-    const auto findings = analyzePerfFixture("virtual_in_hot");
-    const auto it = std::find_if(findings.begin(), findings.end(),
-                                 [](const Finding &f) {
-                                     return f.rule ==
-                                            "perf-virtual-call";
-                                 });
-    ASSERT_NE(it, findings.end());
-    EXPECT_EQ(it->severity, "error");
-    EXPECT_NE(it->message.find("hook->onTick"), std::string::npos);
-}
-
-TEST(PerfPass, LargeByValueParameterIsAnError)
-{
-    const auto findings = analyzePerfFixture("copy_in_hot");
-    const auto it = std::find_if(findings.begin(), findings.end(),
-                                 [](const Finding &f) {
-                                     return f.rule ==
-                                            "perf-large-copy";
-                                 });
-    ASSERT_NE(it, findings.end());
-    EXPECT_EQ(it->severity, "error");
-    EXPECT_NE(it->message.find("Request"), std::string::npos);
-    EXPECT_NE(it->message.find("by value"), std::string::npos);
-}
-
-TEST(PerfPass, IoAndThrowInHotRegionAreErrors)
-{
-    const auto findings = analyzePerfFixture("io_in_hot");
-    // Both the throw and the std::cout must fire.
-    EXPECT_GE(std::count_if(findings.begin(), findings.end(),
-                            [](const Finding &f) {
-                                return f.rule == "perf-io-hot" &&
-                                       f.severity == "error";
-                            }),
-              2);
-}
-
-TEST(PerfPass, ColdPathDebtStaysSilent)
-{
-    // setup() allocates but is unreachable from the declared root,
-    // so the corpus analyzes clean.
-    EXPECT_TRUE(analyzePerfFixture("cold_path").empty());
-}
-
-TEST(PerfPass, InlineWaiversSilenceSiteAndFunction)
-{
-    EXPECT_TRUE(analyzePerfFixture("waived").empty());
-}
-
-TEST(PerfPass, ScannerEdgeCasesDoNotFabricateFindings)
-{
-    // Comment/raw-string/#if-0 decoys around one real allocation in
-    // an out-of-line member definition: exactly one finding.
-    const auto findings = analyzePerfFixture("scanner_edges");
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_EQ(findings[0].rule, "perf-alloc");
-    EXPECT_EQ(findings[0].severity, "error");
-    EXPECT_NE(findings[0].message.find("Engine::tick"),
-              std::string::npos);
-}
-
-TEST(PerfPass, BaselinedSiteWarnsAndStaleEntryErrors)
-{
-    const auto findings = analyzePerfFixture("stale_baseline");
-    // The live baselined site downgrades to a warning...
-    const auto live = std::find_if(
-        findings.begin(), findings.end(),
-        [](const Finding &f) { return f.rule == "perf-alloc"; });
-    ASSERT_NE(live, findings.end());
-    EXPECT_EQ(live->severity, "warning");
-    // ...and the entry matching nothing is a hard error naming the
-    // vanished key.
-    const auto stale = std::find_if(
-        findings.begin(), findings.end(),
-        [](const Finding &f) { return f.rule == "stale-baseline"; });
-    ASSERT_NE(stale, findings.end());
-    EXPECT_EQ(stale->severity, "error");
-    EXPECT_NE(stale->message.find("vanished"), std::string::npos);
-}
-
-TEST(PerfPass, MalformedHotpathsConfigIsALoudError)
-{
-    const auto findings = analyzePerfFixture("bad_config");
-    const auto it = std::find_if(findings.begin(), findings.end(),
-                                 [](const Finding &f) {
-                                     return f.rule ==
-                                            "hotpaths-config";
-                                 });
-    ASSERT_NE(it, findings.end());
-    EXPECT_EQ(it->severity, "error");
-}
-
-TEST(PerfPass, RealTreeHotRegionCoversEverySchemeOnActivate)
-{
-    // The committed hotpaths.toml must put each scheme's onActivate
-    // in the hot region — the audit is meaningless if a scheme
-    // escapes it.
-    const fs::path root(GRAPHENE_REPO_ROOT);
-    const Corpus corpus = buildCorpus(
-        root, root / "tools/analyze/layers.toml",
-        root / "tools/analyze/coverage_baseline.txt",
-        root / "tools/analyze/hotpaths.toml",
-        root / "tools/analyze/perf_baseline.txt");
-    HotConfig config;
-    std::string error;
-    ASSERT_TRUE(
-        parseHotpathsFile(corpus.hotpathsFile, config, error))
-        << error;
-    std::set<std::string> hot_files;
-    for (const auto &hf : computeHotRegion(corpus, config))
-        if (graphene::toolscan::unqualifiedName(hf.def.name) ==
-            "onActivate")
-            hot_files.insert(corpus.files[hf.fileIndex].rel);
-    for (const char *impl :
-         {"src/core/graphene.cc", "src/core/tracker_scheme.cc",
-          "src/schemes/para.cc", "src/schemes/twice.cc",
-          "src/schemes/cbt.cc", "src/schemes/prohit.cc",
-          "src/schemes/mrloc.cc"})
-        EXPECT_TRUE(hot_files.count(impl)) << impl;
-}
-
 TEST(AnalyzePasses, RealTreeAnalyzesWithoutErrors)
 {
     const fs::path root(GRAPHENE_REPO_ROOT);
     const Corpus corpus = buildCorpus(
         root, root / "tools/analyze/layers.toml",
-        root / "tools/analyze/coverage_baseline.txt",
-        root / "tools/analyze/hotpaths.toml",
-        root / "tools/analyze/perf_baseline.txt");
+        root / "tools/analyze/coverage_baseline.txt");
     ASSERT_GT(corpus.files.size(), 100u); // the whole tree, not a stub
     const auto findings = runPasses(corpus, {});
     for (const auto &f : findings)

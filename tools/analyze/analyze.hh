@@ -64,26 +64,6 @@
  *                          obs:: probe report are gaps. Existing
  *                          gaps live in a committed baseline file
  *                          (warnings); *new* gaps are errors.
- *   perf-debt              Call-graph-aware performance audit. The
- *                          scanner's function-definition and
- *                          call-edge extraction computes the
- *                          transitive *hot region* — everything
- *                          reachable from the roots declared in
- *                          tools/analyze/hotpaths.toml (scheme
- *                          onActivate/onRefresh, tracker update
- *                          paths, the bank state machine, the sim
- *                          tick loop) — and five rules fire only
- *                          inside it: perf-alloc (heap allocation,
- *                          growth without reserve, string
- *                          temporaries), perf-hash-container
- *                          (hash/tree container touch), perf-virtual-
- *                          call (pointer dispatch through a virtual
- *                          method), perf-large-copy (by-value struct
- *                          params past a size threshold), and
- *                          perf-io-hot (stream IO / throw). Known
- *                          sites live in the committed
- *                          tools/analyze/perf_baseline.txt burn-down
- *                          list (warnings); *new* sites are errors.
  *   ckpt-completeness      Every `_`-prefixed data member of a class
  *                          defining saveState/restoreState (the
  *                          checkpoint protocol, DESIGN.md §14) must
@@ -97,16 +77,15 @@
  *                          with a rationale. One-sided pairs
  *                          (saveState without restoreState) are
  *                          errors outright.
- *   stale-baseline         A committed baseline entry (coverage or
- *                          perf) matching no current finding is an
+ *   stale-baseline         A committed coverage baseline entry
+ *                          matching no current finding is an
  *                          error: burned-down debt must be pruned
  *                          from the committed files, or the baseline
  *                          quietly stops meaning anything.
  *
  * Waivers: `analyze: allow(<rule>)` on the finding line or the line
  * above; fingerprint exemptions use `analyze: fp-exempt(<field>)` at
- * the field's declaration site or inside the adder function; perf
- * findings accept `analyze: perf-exempt(<reason>)` with a rationale.
+ * the field's declaration site or inside the adder function.
  */
 
 #ifndef TOOLS_ANALYZE_ANALYZE_HH
@@ -157,12 +136,6 @@ struct Corpus
     std::filesystem::path layersFile;
     std::filesystem::path baselineFile;
 
-    /** Hot-region roots config (perf passes); may not exist. */
-    std::filesystem::path hotpathsFile;
-
-    /** Committed perf-debt baseline (perf passes); may not exist. */
-    std::filesystem::path perfBaselineFile;
-
     std::vector<SourceFile> files;
 
     /** Index into `files` by root-relative path. */
@@ -177,17 +150,6 @@ struct Corpus
  * tests/ and tools/ when present (the "top" layer of the DAG).
  * Directories whose name starts with "fixtures" are skipped
  * (known-bad corpora).
- */
-Corpus buildCorpus(const std::filesystem::path &root,
-                   const std::filesystem::path &layers_file,
-                   const std::filesystem::path &baseline_file,
-                   const std::filesystem::path &hotpaths_file,
-                   const std::filesystem::path &perf_baseline_file);
-
-/**
- * Convenience overload: hotpaths.toml and perf_baseline.txt are
- * looked up next to @p layers_file (which is where every corpus —
- * the real tree and each fixture — keeps its config).
  */
 Corpus buildCorpus(const std::filesystem::path &root,
                    const std::filesystem::path &layers_file,
@@ -230,62 +192,12 @@ void runResultPass(const Corpus &corpus,
                    std::vector<Finding> &findings);
 void runCoveragePass(const Corpus &corpus,
                      std::vector<Finding> &findings);
-void runPerfPass(const Corpus &corpus,
-                 std::vector<Finding> &findings);
 void runCkptPass(const Corpus &corpus,
                  std::vector<Finding> &findings);
 
-// ---- hot-region computation (perf-debt passes) ---------------------
-
-/** Parsed hotpaths.toml: the declared roots of the hot region. */
-struct HotConfig
-{
-    /**
-     * Root function names: "onActivate" (any definition with that
-     * unqualified name) or "CounterTable::processActivation"
-     * (qualified suffix match).
-     */
-    std::vector<std::string> roots;
-
-    /**
-     * Root-relative path prefixes; every function defined in a
-     * matching file is a root ("src/dram/bank.").
-     */
-    std::vector<std::string> files;
-};
-
 /**
- * Parse the hotpaths.toml config: a `[hotpaths]` section with
- * `roots = ["..."]` and `files = ["..."]`. Returns false and fills
- * @p error on malformed input; a missing file is NOT an error (the
- * region is empty and the perf passes stay silent).
- */
-bool parseHotpathsFile(const std::filesystem::path &file,
-                       HotConfig &config, std::string &error);
-
-/** One function in the computed hot region. */
-struct HotFunction
-{
-    std::size_t fileIndex = 0; ///< corpus file of the definition
-    toolscan::ScannedFunction def;
-
-    /** The declared root this function is reachable from. */
-    std::string root;
-};
-
-/**
- * The transitive hot region: every src/ function definition
- * reachable from the configured roots through name-resolved call
- * edges (an over-approximation — a call to `f` reaches every
- * definition named `f`; conservative in the safe direction for a
- * perf audit).
- */
-std::vector<HotFunction>
-computeHotRegion(const Corpus &corpus, const HotConfig &config);
-
-/**
- * Load a baseline file of `key` lines ('#' comments allowed) — the
- * shared shape of coverage_baseline.txt and perf_baseline.txt.
+ * Load a baseline file of `key` lines ('#' comments allowed), the
+ * shape of coverage_baseline.txt.
  */
 std::set<std::string>
 loadBaselineFile(const std::filesystem::path &file);
@@ -300,24 +212,8 @@ std::vector<Finding> runPasses(const Corpus &corpus,
 // ---- shared parsing helpers (token level) --------------------------
 
 using toolscan::matchBrace;
-
-/** One parsed function definition (token-level approximation). */
-struct FunctionDef
-{
-    std::string name;   ///< possibly qualified ("Cache::addressOf")
-    std::string params; ///< parameter-list text between the parens
-    std::size_t bodyBegin = 0; ///< offset just past the '{'
-    std::size_t bodyEnd = 0;   ///< offset of the matching '}'
-    std::size_t nameOffset = 0;
-};
-
-/**
- * Token-level function-definition scan of a stripped file. Catches
- * free functions and out-of-class member definitions; skips control
- * keywords (if/for/while/switch/catch) and lambdas. Good enough for
- * the conventions this repo enforces; not a C++ parser.
- */
-std::vector<FunctionDef> findFunctions(const SourceFile &file);
+using toolscan::scanFunctions;
+using toolscan::ScannedFunction;
 
 /** A struct field parsed from a definition. */
 struct StructField

@@ -79,7 +79,7 @@ std::set<unsigned>
 bodyLines(const SourceFile &file)
 {
     std::set<unsigned> lines;
-    for (const FunctionDef &func : findFunctions(file)) {
+    for (const ScannedFunction &func : scanFunctions(file.joined)) {
         const unsigned from = file.lineOf(func.bodyBegin);
         const unsigned to = file.lineOf(func.bodyEnd);
         for (unsigned i = from; i <= to; ++i)

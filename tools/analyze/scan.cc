@@ -268,14 +268,6 @@ writeFindingsJson(std::ostream &os, const std::string &tool,
        << "}\n";
 }
 
-std::string
-unqualifiedName(const std::string &name)
-{
-    const std::size_t colons = name.rfind("::");
-    return colons == std::string::npos ? name
-                                       : name.substr(colons + 2);
-}
-
 std::size_t
 matchBrace(const std::string &text, std::size_t open_brace)
 {
@@ -307,7 +299,10 @@ scanFunctions(const std::string &text)
     for (auto it = begin; it != std::sregex_iterator(); ++it) {
         const std::smatch &m = *it;
         const std::string name = m[1].str();
-        if (keywords.count(unqualifiedName(name)))
+        const std::size_t colons = name.rfind("::");
+        if (keywords.count(colons == std::string::npos
+                               ? name
+                               : name.substr(colons + 2)))
             continue;
         const std::size_t name_off =
             static_cast<std::size_t>(m.position(0));
@@ -323,69 +318,6 @@ scanFunctions(const std::string &text)
         def.bodyEnd = close;
         def.nameOffset = name_off;
         out.push_back(std::move(def));
-    }
-    return out;
-}
-
-std::vector<CallSite>
-scanCalls(const std::string &text, std::size_t begin,
-          std::size_t end)
-{
-    // An identifier (possibly qualified) directly followed by '('.
-    static const std::regex call(R"(([A-Za-z_][\w:]*)\s*\()");
-    static const std::set<std::string> keywords = {
-        "if",      "for",      "while",   "switch",   "catch",
-        "return",  "sizeof",   "alignof", "decltype", "throw",
-        "new",     "delete",   "assert",  "defined",  "co_await",
-        "co_return", "static_assert", "noexcept", "alignas"};
-
-    std::vector<CallSite> out;
-    if (end > text.size())
-        end = text.size();
-    if (begin >= end)
-        return out;
-    auto first = std::sregex_iterator(text.begin() + begin,
-                                      text.begin() + end, call);
-    for (auto it = first; it != std::sregex_iterator(); ++it) {
-        const std::smatch &m = *it;
-        const std::string name = m[1].str();
-        if (keywords.count(name) ||
-            keywords.count(unqualifiedName(name)))
-            continue;
-        const std::size_t off =
-            begin + static_cast<std::size_t>(m.position(1));
-        CallSite site;
-        site.name = name;
-        site.offset = off;
-
-        // Receiver: walk left past whitespace to `.` or `->`, then
-        // take the identifier before it.
-        std::size_t k = off;
-        while (k > begin && std::isspace(static_cast<unsigned char>(
-                                text[k - 1])))
-            --k;
-        std::size_t recv_end = 0;
-        if (k > begin && text[k - 1] == '.') {
-            site.dot = true;
-            recv_end = k - 1;
-        } else if (k > begin + 1 && text[k - 1] == '>' &&
-                   text[k - 2] == '-') {
-            site.arrow = true;
-            recv_end = k - 2;
-        }
-        if (site.dot || site.arrow) {
-            std::size_t r = recv_end;
-            while (r > begin) {
-                const char c = text[r - 1];
-                if (std::isalnum(static_cast<unsigned char>(c)) ||
-                    c == '_')
-                    --r;
-                else
-                    break;
-            }
-            site.receiver = text.substr(r, recv_end - r);
-        }
-        out.push_back(std::move(site));
     }
     return out;
 }

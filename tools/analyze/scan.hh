@@ -5,8 +5,8 @@
  * The analyzer works at the token/regex level (deliberately no
  * libclang dependency): strip comments and string literals while
  * preserving line structure, look up waiver markers on the raw text,
- * extract function definitions and call edges, and report findings
- * in one machine-readable shape. The passes keep only their rules.
+ * extract function definitions, and report findings in one
+ * machine-readable shape. The passes keep only their rules.
  *
  * Buildable with a bare C++17 toolchain (CI compiles the analyzer
  * with plain g++, no CMake), so nothing here may depend on src/.
@@ -82,13 +82,13 @@ void writeFindingsJson(std::ostream &os, const std::string &tool,
 /** Render one finding as the human-readable single-line report. */
 std::string formatFinding(const Finding &f);
 
-// ---- function-definition and call-edge extraction ------------------
+// ---- function-definition extraction --------------------------------
 //
-// Token-level (deliberately not a C++ parser): good enough to compute
-// "which functions exist and who calls whom by name", which is what
-// the call-graph-aware passes (hot-region perf debt) need. Operates
-// on comment/string-stripped text joined with '\n' so literals and
-// disabled regions never fabricate edges.
+// Token-level (deliberately not a C++ parser): good enough to find
+// which functions exist and where their bodies are, which is what the
+// fingerprint, result, coverage and ckpt passes need. Operates on
+// comment/string-stripped text joined with '\n' so literals and
+// disabled regions never fabricate definitions.
 
 /** One function definition found in stripped text. */
 struct ScannedFunction
@@ -103,9 +103,6 @@ struct ScannedFunction
     std::size_t bodyBegin = 0;  ///< Offset just past the '{'.
     std::size_t bodyEnd = 0;    ///< Offset of the matching '}'.
 };
-
-/** Unqualified tail of @p name ("Cache::addressOf" -> "addressOf"). */
-std::string unqualifiedName(const std::string &name);
 
 /**
  * Offset of the '}' matching the '{' at @p open_brace;
@@ -122,34 +119,6 @@ std::size_t matchBrace(const std::string &text,
  * may be missed, which the repo's conventions avoid.
  */
 std::vector<ScannedFunction> scanFunctions(const std::string &text);
-
-/** One call site found inside a function body. */
-struct CallSite
-{
-    /** Callee name as written (possibly qualified). */
-    std::string name;
-
-    std::size_t offset = 0; ///< Offset of the name in the text.
-
-    /** Dispatched through `->` (pointer receiver). */
-    bool arrow = false;
-
-    /** Dispatched through `.` (object/reference receiver). */
-    bool dot = false;
-
-    /** Receiver token when arrow/dot ("this", "_tracker", ...). */
-    std::string receiver;
-};
-
-/**
- * Extract call-shaped sites (`name(` preceded by neither a type
- * keyword nor a definition context) from text[begin, end). Keyword
- * heads (if/for/while/...), casts, and declarations with bodies are
- * excluded; `obj.f(` / `ptr->f(` record the receiver so callers can
- * reason about dispatch.
- */
-std::vector<CallSite> scanCalls(const std::string &text,
-                                std::size_t begin, std::size_t end);
 
 /** Count of findings with severity "error". */
 std::size_t errorCount(const std::vector<Finding> &findings);

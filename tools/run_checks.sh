@@ -80,12 +80,11 @@ step "graphene_analyze: static analysis (self-tests + whole tree)"
 cmake --preset default >/dev/null
 cmake --build --preset default -j "$jobs" --target graphene_analyze
 ./build/tools/analyze/graphene_analyze --self-test tools/analyze/fixtures
-./build/tools/analyze/graphene_analyze --self-test tools/analyze/fixtures_perf
 ./build/tools/analyze/graphene_analyze --root . \
     --json build/analyze-findings.json
 
-step "perf gate: fig8 throughput vs committed trajectory"
-tools/perf_gate.sh
+step "perf gate: previous commit vs working tree, measured"
+tools/perf_gate.py HEAD~1
 
 step "clang-tidy: bugprone / performance / core-guidelines"
 if command -v clang-tidy >/dev/null 2>&1; then
